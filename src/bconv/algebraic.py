@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
@@ -310,6 +310,32 @@ def _reduced_power_table(minpoly: IntPolynomial, count: int) -> list[tuple[Fract
     for _ in range(1, count):
         table.append(_shift_reduce(table[-1], minpoly))
     return table
+
+
+def _word_states(spec: "SystemSpec", n: int) -> Iterator[dict]:
+    """Exact word states at depths 1..n: {reduced per-axis vector: probability}.
+
+    A state is the tuple of axis-j reduced vectors of a word's translation
+    polynomial; two words share a map iff their states are equal, so the
+    dict at depth k has one entry per distinct length-k map and carries the
+    summed word probability.  Each depth extends the previous one over its
+    states, then the maps in spec order, which fixes the float summation
+    order of every weight.
+    """
+    tables = [_reduced_power_table(p, n) for p in spec.minpolys]
+    states: dict = {tuple(tuple([Fraction(0)] * p.degree) for p in spec.minpolys): 1.0}
+    for depth in range(n):
+        pw = [t[depth] for t in tables]
+        nxt: dict = {}
+        for state, w in states.items():
+            for a, p in zip(spec.translations, spec.probs):
+                child = tuple(
+                    tuple(s + aj * q for s, q in zip(sj, pj))
+                    for sj, aj, pj in zip(state, a, pw)
+                )
+                nxt[child] = nxt.get(child, 0.0) + w * p
+        states = nxt
+        yield states
 
 
 # ---------------------------------------------------------------------------
@@ -780,40 +806,16 @@ def exact_overlap_depth(spec: "SystemSpec", n_max: int, budget: int = 1 << 24) -
         raise BudgetExceededError(
             f"overlap scan needs {k**n_max} words at depth {n_max}, budget is {budget}"
         )
-    d = spec.dim
-    minpolys = [mp.minpoly if isinstance(mp, AlgebraicNumber) else mp for mp in spec.minpolys]
-    tables = [_reduced_power_table(p, n_max) for p in minpolys]
-    trans = spec.translations
-
-    zero_states = [tuple([Fraction(0)] * p.degree) for p in minpolys]
-    axis_states: list[set] = [{zs} for zs in zero_states]
-    joint_states: set = {tuple(zero_states)}
-    per_axis: list[int | None] = [None] * d
+    per_axis: list[int | None] = [None] * spec.dim
     joint: int | None = None
-
-    for depth in range(1, n_max + 1):
-        pw = [tables[j][depth - 1] for j in range(d)]
-        new_joint = set()
-        new_axis: list[set] = [set() for _ in range(d)]
-        for state in joint_states:
-            for a in trans:
-                child = tuple(
-                    tuple(s + a[j] * p for s, p in zip(state[j], pw[j]))
-                    for j in range(d)
-                )
-                new_joint.add(child)
-        for j in range(d):
-            for state in axis_states[j]:
-                for a in trans:
-                    new_axis[j].add(tuple(s + a[j] * p for s, p in zip(state, pw[j])))
+    for depth, states in enumerate(_word_states(spec, n_max), start=1):
+        # The axis-j values of all words are the projection of the joint states.
         expected = k**depth
-        for j in range(d):
-            if per_axis[j] is None and len(new_axis[j]) < expected:
+        for j in range(spec.dim):
+            if per_axis[j] is None and len({s[j] for s in states}) < expected:
                 per_axis[j] = depth
-        if joint is None and len(new_joint) < expected:
+        if joint is None and len(states) < expected:
             joint = depth
-        axis_states = new_axis
-        joint_states = new_joint
         if joint is not None and all(v is not None for v in per_axis):
             break
     return OverlapReport(tuple(per_axis), joint, n_max)

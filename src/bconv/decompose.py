@@ -148,7 +148,7 @@ def bernoulli_decompose(
             )
         )
     residual = np.maximum(weights - used, 0.0)
-    theta = DiscreteMeasure(nu.points, residual, nu.merge)
+    theta = DiscreteMeasure(nu.points, residual)
     paired = math.fsum(p.mass for p in pairs)
     return Decomposition(theta, tuple(pairs), paired, nu.mass, r_low, r_high, method, gap)
 

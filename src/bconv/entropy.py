@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import BoundaryHazardWarning, BudgetExceededError
 from .measures import DiscreteMeasure
-from .scales import ScaleVector, _as_scale, dyadic_levels
+from .scales import ScaleVector, _as_scale, _nudged_floor, dyadic_levels
 
 __all__ = [
     "QuadratureSpec",
@@ -50,9 +50,6 @@ __all__ = [
     "avg_cond_entropy",
 ]
 
-# Atoms closer than this to a cell boundary (in key units) get nudged.
-_HAZARD_TOL = 2.0**-45
-_HAZARD_SHIFT = 2.0**-44
 # Combined group codes must stay within int64.
 _CODE_LIMIT = 2**62
 
@@ -158,17 +155,10 @@ class Keying:
 
 
 def _floor_keys(v: np.ndarray) -> tuple[np.ndarray, int]:
-    """Floor in double precision with a deterministic boundary nudge."""
-    fl = np.floor(v)
+    """Nudged floor (scales._nudged_floor) as int64 keys."""
+    fl, hazards = _nudged_floor(v)
     if np.any(np.abs(fl) >= _CODE_LIMIT):
         raise ValueError("key magnitude exceeds the int64 range")
-    frac = v - fl
-    near = (frac < _HAZARD_TOL) | (frac > 1.0 - _HAZARD_TOL)
-    hazards = int(np.count_nonzero(near))
-    if hazards:
-        v = v.copy()
-        v[near] += _HAZARD_SHIFT
-        fl = np.floor(v)
     return fl.astype(np.int64), hazards
 
 

@@ -6,11 +6,10 @@ weights dropped.  Canonical form makes every downstream computation (entropy,
 convolution, decomposition) independent of construction order, which is what
 the determinism guarantees of the reporting layer rest on.
 
-Two merge policies exist.  The default merges only atoms whose coordinates
-compare equal as float64 values.  The quantized policy keys atoms by
-round(x * 2^40) per coordinate, which absorbs roundoff from arithmetic that
-is exact in the underlying algebra but not in floats (exact-overlap systems
-are the motivating case).
+Atoms merge only when their coordinates compare equal as float64 values.
+Coincidences that are exact in the underlying algebra but differ by float
+roundoff are decided by the exact word arithmetic of the algebraic layer,
+never by rounding coordinates here.
 """
 
 from __future__ import annotations
@@ -25,9 +24,6 @@ import numpy as np
 from .scales import ScaleVector, _as_scale
 
 __all__ = [
-    "MERGE_EXACT",
-    "MERGE_QUANTIZED",
-    "QUANT_BITS",
     "DiscreteMeasure",
     "ScaleBy",
     "TranslateBy",
@@ -41,28 +37,16 @@ __all__ = [
     "write_atoms_csv",
 ]
 
-MERGE_EXACT = "exact"
-MERGE_QUANTIZED = "quantized"
-QUANT_BITS = 40
-
 # Relative slack on conserved masses (construction, convolution).
 MASS_RTOL = 1e-12
-
-
-def _merge_keys(points: np.ndarray, policy: str) -> np.ndarray:
-    if policy == MERGE_EXACT:
-        return points
-    if policy == MERGE_QUANTIZED:
-        return np.round(points * float(2**QUANT_BITS))
-    raise ValueError(f"unknown merge policy {policy!r}")
 
 
 class DiscreteMeasure:
     """Immutable finitely supported measure in canonical form."""
 
-    __slots__ = ("points", "weights", "mass", "merge")
+    __slots__ = ("points", "weights", "mass")
 
-    def __init__(self, points, weights, merge: str = MERGE_EXACT, _canonical: bool = False):
+    def __init__(self, points, weights):
         points = np.asarray(points, dtype=np.float64)
         weights = np.asarray(weights, dtype=np.float64)
         if points.ndim != 2:
@@ -75,17 +59,13 @@ class DiscreteMeasure:
             raise ValueError("weights must be finite")
         if np.any(weights < 0.0):
             raise ValueError("negative weight")
-        if merge not in (MERGE_EXACT, MERGE_QUANTIZED):
-            raise ValueError(f"unknown merge policy {merge!r}")
 
-        if not _canonical:
-            points, weights = _canonicalize(points, weights, merge)
+        points, weights = _canonicalize(points, weights)
         points.setflags(write=False)
         weights.setflags(write=False)
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "mass", math.fsum(weights.tolist()))
-        object.__setattr__(self, "merge", merge)
 
     def __setattr__(self, name, value):
         raise AttributeError("DiscreteMeasure is immutable")
@@ -106,11 +86,11 @@ class DiscreteMeasure:
         """Same support, weights multiplied by c >= 0."""
         if c < 0:
             raise ValueError("negative weight")
-        return DiscreteMeasure(self.points, self.weights * c, self.merge)
+        return DiscreteMeasure(self.points, self.weights * c)
 
     def restrict(self, mask: np.ndarray) -> "DiscreteMeasure":
         """Restriction to a subset of atoms (mask over canonical order)."""
-        return DiscreteMeasure(self.points[mask], self.weights[mask], self.merge)
+        return DiscreteMeasure(self.points[mask], self.weights[mask])
 
     def __add__(self, other: "DiscreteMeasure") -> "DiscreteMeasure":
         if self.dim != other.dim:
@@ -118,15 +98,14 @@ class DiscreteMeasure:
         return DiscreteMeasure(
             np.concatenate([self.points, other.points]),
             np.concatenate([self.weights, other.weights]),
-            self.merge,
         )
 
     def __repr__(self) -> str:
         return f"DiscreteMeasure(n_atoms={self.n_atoms}, dim={self.dim}, mass={self.mass:.12g})"
 
 
-def _canonicalize(points: np.ndarray, weights: np.ndarray, merge: str):
-    """Sort lexicographically, merge per policy, drop zero weights."""
+def _canonicalize(points: np.ndarray, weights: np.ndarray):
+    """Sort lexicographically, merge bit-equal points, drop zero weights."""
     keep = weights > 0.0
     points = points[keep]
     weights = weights[keep]
@@ -139,17 +118,12 @@ def _canonicalize(points: np.ndarray, weights: np.ndarray, merge: str):
             return np.empty((1, 0)), np.array([total])
         return points.reshape(n, d), weights
 
-    keys = _merge_keys(points, merge)
-    order = np.lexsort(keys.T[::-1])  # sort by x1, then x2, ...
+    order = np.lexsort(points.T[::-1])  # sort by x1, then x2, ...
     pts = points[order]
-    kys = keys[order]
     wts = weights[order]
-    boundary = np.any(kys[1:] != kys[:-1], axis=1)
+    boundary = np.any(pts[1:] != pts[:-1], axis=1)
     starts = np.concatenate(([0], np.nonzero(boundary)[0] + 1))
-    merged_w = np.add.reduceat(wts, starts)
-    # Representative atom: lexicographically smallest original point in the class.
-    merged_p = pts[starts]
-    return merged_p, merged_w
+    return pts[starts], np.add.reduceat(wts, starts)
 
 
 # ---------------------------------------------------------------------------
@@ -164,10 +138,7 @@ def _as_point_array(x) -> np.ndarray:
     return arr
 
 
-def from_atoms(
-    atoms: Iterable[tuple[Sequence[float] | float, float]],
-    merge: str = MERGE_EXACT,
-) -> DiscreteMeasure:
+def from_atoms(atoms: Iterable[tuple[Sequence[float] | float, float]]) -> DiscreteMeasure:
     """Build a measure from (point, weight) pairs.  Scalars are 1-d points."""
     pts = []
     wts = []
@@ -175,16 +146,16 @@ def from_atoms(
         pts.append(_as_point_array(x))
         wts.append(float(w))
     if not pts:
-        return DiscreteMeasure(np.empty((0, 1)), np.empty(0), merge)
+        return DiscreteMeasure(np.empty((0, 1)), np.empty(0))
     d = len(pts[0])
     if any(len(p) != d for p in pts):
         raise ValueError("dimension mismatch among atoms")
-    return DiscreteMeasure(np.array(pts).reshape(len(pts), d), np.array(wts), merge)
+    return DiscreteMeasure(np.array(pts).reshape(len(pts), d), np.array(wts))
 
 
-def delta(x, merge: str = MERGE_EXACT) -> DiscreteMeasure:
+def delta(x) -> DiscreteMeasure:
     """Unit point mass."""
-    return from_atoms([(x, 1.0)], merge)
+    return from_atoms([(x, 1.0)])
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +223,7 @@ Transform = ScaleBy | TranslateBy | ProjectTo
 
 def pushforward(mu: DiscreteMeasure, transform: Transform) -> DiscreteMeasure:
     """Image measure under a scaling, translation, or projection."""
-    return DiscreteMeasure(transform.apply(mu.points), mu.weights, mu.merge)
+    return DiscreteMeasure(transform.apply(mu.points), mu.weights)
 
 
 # ---------------------------------------------------------------------------
@@ -263,21 +234,20 @@ def pushforward(mu: DiscreteMeasure, transform: Transform) -> DiscreteMeasure:
 def convolve(mu: DiscreteMeasure, nu: DiscreteMeasure) -> DiscreteMeasure:
     """Convolution: atoms at all pairwise sums, weights multiplied.
 
-    The result inherits mu's merge policy.  Mass is multiplicative up to
-    roundoff in the pairwise products.
+    Mass is multiplicative up to roundoff in the pairwise products.
     """
     if mu.dim != nu.dim:
         raise ValueError("dimension mismatch")
     pts = (mu.points[:, None, :] + nu.points[None, :, :]).reshape(-1, mu.dim)
     wts = (mu.weights[:, None] * nu.weights[None, :]).ravel()
-    out = DiscreteMeasure(pts, wts, mu.merge)
+    out = DiscreteMeasure(pts, wts)
     expected = mu.mass * nu.mass
     if expected > 0 and abs(out.mass - expected) > MASS_RTOL * max(1.0, expected):
         raise AssertionError("convolution failed to conserve mass")
     return out
 
 
-def bernoulli_power(x, y, k: int, merge: str = MERGE_EXACT) -> DiscreteMeasure:
+def bernoulli_power(x, y, k: int) -> DiscreteMeasure:
     """k-fold self-convolution of the fair two-point measure on {x, y}.
 
     Computed directly from the binomial law on the segment between the two
@@ -305,7 +275,7 @@ def bernoulli_power(x, y, k: int, merge: str = MERGE_EXACT) -> DiscreteMeasure:
     for m in range(k + 1):
         wts[m] = float(Fraction(c, denom))
         c = c * (k - m) // (m + 1)
-    return DiscreteMeasure(pts, wts, merge)
+    return DiscreteMeasure(pts, wts)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +292,7 @@ def write_atoms_csv(mu: DiscreteMeasure, path) -> None:
             writer.writerow([repr(float(v)) for v in p] + [repr(float(w))])
 
 
-def read_atoms_csv(path, merge: str = MERGE_EXACT) -> DiscreteMeasure:
+def read_atoms_csv(path) -> DiscreteMeasure:
     """Read a measure from CSV with header x1,...,xd,w."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -346,5 +316,5 @@ def read_atoms_csv(path, merge: str = MERGE_EXACT) -> DiscreteMeasure:
             pts.append([float(v) for v in row[:-1]])
             wts.append(float(row[-1]))
     if not pts:
-        return DiscreteMeasure(np.empty((0, d)), np.empty(0), merge)
-    return DiscreteMeasure(np.array(pts), np.array(wts), merge)
+        return DiscreteMeasure(np.empty((0, d)), np.empty(0))
+    return DiscreteMeasure(np.array(pts), np.array(wts))

@@ -39,6 +39,9 @@ __all__ = [
 
 # Dyadic levels beyond the float64 exponent range cannot be keyed in doubles.
 MAX_DYADIC_LEVEL = 1023
+# Values closer than this to a cell boundary (in key units) get nudged.
+_HAZARD_TOL = 2.0**-45
+_HAZARD_SHIFT = 2.0**-44
 
 
 @dataclass(frozen=True)
@@ -225,14 +228,37 @@ def dyadic_levels(lam_entries: tuple[float, ...], n: int) -> tuple[int, ...]:
     return tuple(levels)
 
 
+def _nudged_floor(v: np.ndarray) -> tuple[np.ndarray, int]:
+    """Floor in double precision with a deterministic boundary nudge.
+
+    Values within 2^-45 of an integer are shifted by +2^-44 before flooring,
+    so a point that roundoff left just below a cell edge lands in the cell
+    it would occupy in exact arithmetic.  Returns the floors as float64 and
+    the number of nudged values.
+    """
+    fl = np.floor(v)
+    frac = v - fl
+    near = (frac < _HAZARD_TOL) | (frac > 1.0 - _HAZARD_TOL)
+    hazards = int(np.count_nonzero(near))
+    if hazards:
+        v = v.copy()
+        v[near] += _HAZARD_SHIFT
+        fl = np.floor(v)
+    return fl, hazards
+
+
 def en_key(x: Sequence[float], n: int, lam: "ScaleVector | Sequence[float]") -> tuple[int, ...]:
-    """Cell index of a point in the anisotropic dyadic partition at level n."""
+    """Cell index of a point in the anisotropic dyadic partition at level n.
+
+    Same floor rule as entropy.en(n, lam).key(x), but the indices are Python
+    integers, so they stay exact beyond the int64 range.
+    """
     lam = _as_scale(lam)
     pt = np.atleast_1d(np.asarray(x, dtype=np.float64))
     if pt.shape != (len(lam),):
         raise ValueError("point and lambda have mismatched dimensions")
-    levels = dyadic_levels(lam.entries, n)
-    return tuple(int(math.floor(v * 2.0**k)) for v, k in zip(pt, levels))
+    scale = np.array([2.0**k for k in dyadic_levels(lam.entries, n)])
+    return tuple(int(f) for f in _nudged_floor(pt * scale)[0])
 
 
 def grid_key(
@@ -252,4 +278,4 @@ def grid_key(
         raise ValueError("offset dimension mismatch")
     if np.any(off < 0.0) or np.any(off >= 1.0):
         raise ValueError("offset entries must lie in [0, 1)")
-    return tuple(int(math.floor(v / s + u)) for v, s, u in zip(pt, r, off))
+    return tuple(int(f) for f in _nudged_floor(pt / r.as_array() + off)[0])

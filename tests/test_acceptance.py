@@ -36,7 +36,7 @@ from bconv.algebraic import (
 )
 from bconv.cli import dispatch
 from bconv.decompose import bernoulli_decompose, tube_entropy_selfconv
-from bconv.measures import from_atoms, MERGE_QUANTIZED
+from bconv.measures import from_atoms
 from bconv.scales import s_sequence
 from bconv.selfaffine import (
     build_level_n,

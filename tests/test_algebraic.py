@@ -1,6 +1,7 @@
 """Tests for the exact-arithmetic layer: integer polynomials, algebraic
 numbers, Mahler measure, the small-value search, and overlap detection."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -13,12 +14,13 @@ from bconv.algebraic import (
     count_roots_in_disk,
     exact_overlap_depth,
     IntPolynomial,
+    OverlapReport,
     mahler_measure,
     min_value_poly_search,
     reduce_mod_minpoly,
 )
 from bconv.errors import BudgetExceededError
-from bconv.selfaffine import SystemSpec
+from bconv.selfaffine import SystemSpec, rw_entropy_upper
 
 GOLDEN = 0.6180339887498949
 GOLDEN_MINPOLY = IntPolynomial((-1, 1, 1))  # x^2 + x - 1
@@ -408,3 +410,59 @@ class TestExactOverlapDepth:
             exact_overlap_depth(s, 40, budget=1000)
         with pytest.raises(ValueError, match="n_max"):
             exact_overlap_depth(s, 0)
+
+
+def _seeded_system(lam, minpolys, k, seed):
+    """k distinct translation rows in [-4, 4]^d and random probabilities."""
+    rng = np.random.default_rng(seed)
+    pool = list(itertools.product(range(-4, 5), repeat=len(lam)))
+    rows = [pool[i] for i in rng.choice(len(pool), k, replace=False)]
+    w = rng.integers(1, 10, k).astype(float)
+    return SystemSpec(lam, rows, tuple(w / w.sum()), minpolys)
+
+
+def _brute_force_states(spec, n):
+    """{joint reduced key: exact mass} over every length-n word, one
+    reduce_mod_minpoly per word and axis; digit k carries lambda^k."""
+    out = {}
+    for word in itertools.product(range(spec.n_maps), repeat=n):
+        key = tuple(
+            reduce_mod_minpoly([spec.translations[u][j] for u in word], mp)
+            for j, mp in enumerate(spec.minpolys)
+        )
+        mass = math.prod((Fraction(spec.probs[u]) for u in word), start=Fraction(1))
+        out[key] = out.get(key, 0) + mass
+    return out
+
+
+class TestWordStatesOracle:
+    """The word-state kernel against brute-force exact enumeration."""
+
+    @pytest.mark.parametrize(
+        "lam, minpolys, k, seed, n_max, expected",
+        [
+            ((GOLDEN,), ((-1, 1, 1),), 3, 1, 6, ((3,), 3)),
+            ((1 / 3,), ((-1, 3),), 3, 1, 6, ((2,), 2)),
+            ((0.75,), ((-3, 4),), 4, 2, 5, ((2,), 2)),
+            ((0.75, 1 / 3), ((-3, 4), (-1, 3)), 4, 10, 4, ((3, 1), 3)),
+            # axis 1 collides at depth 3, axis 2 and the joint maps never do
+            ((GOLDEN, 1 / 3), ((-1, 1, 1), (-1, 3)), 2, 3, 7, ((3, None), None)),
+        ],
+    )
+    def test_matches_brute_force(self, lam, minpolys, k, seed, n_max, expected):
+        spec = _seeded_system(lam, minpolys, k, seed)
+        per_axis = [None] * spec.dim
+        joint = None
+        for n in range(1, n_max + 1):
+            states = _brute_force_states(spec, n)
+            for j in range(spec.dim):
+                if per_axis[j] is None and len({key[j] for key in states}) < k**n:
+                    per_axis[j] = n
+            if joint is None and len(states) < k**n:
+                joint = n
+            rep = rw_entropy_upper(spec, n, "exact")
+            assert rep.distinct_maps == len(states)
+            h = -math.fsum(float(m) * math.log2(float(m)) for m in states.values())
+            assert abs(rep.value - h / n) <= 1e-12
+        assert (tuple(per_axis), joint) == expected
+        assert exact_overlap_depth(spec, n_max) == OverlapReport(tuple(per_axis), joint, n_max)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from bconv.measures import (
-    MERGE_QUANTIZED,
     DiscreteMeasure,
     ProjectTo,
     ScaleBy,
@@ -49,13 +48,10 @@ class TestCanonicalForm:
         mu = from_atoms(zip(rng.random((1000, 1)), w))
         assert mu.mass == pytest.approx(math.fsum(w.tolist()), abs=1e-15)
 
-    def test_quantized_merges_roundoff_twins(self):
+    def test_roundoff_twins_stay_apart(self):
         x = 0.1 + 0.2  # 0.30000000000000004
         exact = from_atoms([((x,), 0.5), ((0.3,), 0.5)])
-        quant = from_atoms([((x,), 0.5), ((0.3,), 0.5)], merge=MERGE_QUANTIZED)
         assert exact.n_atoms == 2
-        assert quant.n_atoms == 1
-        assert quant.mass == pytest.approx(1.0)
 
     def test_zero_dimensional_collapse(self):
         mu = DiscreteMeasure(np.zeros((3, 0)), np.array([0.2, 0.3, 0.5]))
@@ -77,8 +73,6 @@ class TestCanonicalForm:
             from_atoms([((float("nan"),), 0.5)])
         with pytest.raises(ValueError):
             DiscreteMeasure(np.zeros((2, 1)), np.zeros(3))
-        with pytest.raises(ValueError, match="merge"):
-            DiscreteMeasure(np.zeros((1, 1)), np.ones(1), merge="fuzzy")
 
     def test_add_and_scale_and_restrict(self):
         a = from_atoms([((0.0,), 0.5)])

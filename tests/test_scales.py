@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from bconv.entropy import en, grid
 from bconv.scales import (
     MAX_DYADIC_LEVEL,
     ScaleVector,
@@ -167,6 +168,11 @@ class TestEnKey:
         with pytest.raises(ValueError):
             en_key((0.3, 0.4), 3, (0.5,))
 
+    def test_boundary_nudge_matches_keying(self):
+        # roundoff just below a cell edge lands where entropy.en keys it
+        x = (0.5 - 1e-15,)
+        assert en_key(x, 1, (0.5,)) == en(1, (0.5,)).key(x) == (1,)
+
     def test_keys_refine(self):
         # equal keys at level n+1 imply equal keys at level n
         rng = np.random.default_rng(11)
@@ -204,6 +210,10 @@ class TestGridKey:
     def test_unit_grid(self):
         assert grid_key((2.7,), (1.0,)) == (2,)
         assert grid_key((2.7,), (1.0,), (0.5,)) == (3,)
+
+    def test_boundary_nudge_matches_keying(self):
+        x = (1.0 - 1e-15,)
+        assert grid_key(x, (1.0,)) == grid(1.0).key(x) == (1,)
 
     def test_offset_validation(self):
         with pytest.raises(ValueError, match=r"\[0, 1\)"):

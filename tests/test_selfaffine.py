@@ -7,8 +7,9 @@ import math
 import numpy as np
 import pytest
 
+from bconv.algebraic import _word_states
 from bconv.errors import BudgetExceededError
-from bconv.measures import convolve, from_atoms, MERGE_QUANTIZED, pushforward, ScaleBy
+from bconv.measures import convolve, from_atoms, pushforward, ScaleBy
 from bconv.scales import ScaleVector
 from bconv.selfaffine import (
     build_factor,
@@ -117,13 +118,13 @@ class TestBuildLevelN:
         assert by_point[0.5] == pytest.approx(0.25 * 0.75)
         assert by_point[0.0] == pytest.approx(0.25 * 0.25)
 
-    def test_golden_depth3_collision_quantized(self):
-        # words (1,-1,-1) and (-1,1,1) land on the same point; the float
-        # images differ by ~1e-16 so only the quantized merge collapses them
-        mu = build_level_n(golden_spec(), 3, merge=MERGE_QUANTIZED)
-        assert mu.n_atoms == 7
-        w = sorted(mu.weights)
-        assert w[-1] == pytest.approx(0.25)  # 1/8 + 1/8 merged
+    def test_golden_depth3_collision_exact(self):
+        # words (1,-1,-1) and (-1,1,1) land on the same point; their float
+        # images differ by ~1e-16, so only the exact word states merge them
+        assert build_level_n(golden_spec(), 3).n_atoms == 8
+        states = list(_word_states(golden_spec(), 3))[-1]
+        assert len(states) == 7
+        assert max(states.values()) == 0.25  # 1/8 + 1/8 merged
 
     def test_no_overlap_gives_full_tree(self):
         s = SystemSpec((0.5,), ((1,), (0,)), HALF)
