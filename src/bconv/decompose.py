@@ -42,6 +42,10 @@ __all__ = [
 
 _GREEDY_THRESHOLD = 10_000
 _PAIR_MASS_FLOOR = 1e-15
+# Capacity scaling: each phase leaves under 2^30 units of flow to find, so
+# its floored capacities clamp to int32 without losing any of it.
+_PHASE_BITS = 30
+_INT32_MAX = 2**31 - 1
 
 
 @dataclass(frozen=True)
@@ -107,102 +111,181 @@ def bernoulli_decompose(
     r_high = 2.0 * float(np.linalg.norm(lam_arr ** (-3.0 * big_n)))
     r_low = 1.0 / 6.0
 
-    z = nu.points / s_pair
     k = nu.n_atoms
-    # Admissible pairs by rescaled Euclidean distance.
-    edges: list[tuple[int, int, float]] = []
-    from scipy.spatial import cKDTree
-
-    tree = cKDTree(z)
-    for i, j in sorted(tree.query_pairs(r_high * (1 + 1e-12))):
-        dist = float(np.linalg.norm(z[i] - z[j]))
-        if r_low <= dist <= r_high:
-            edges.append((i, j, dist))
-
+    ei, ej, dist = _admissible_pairs(nu.points / s_pair, r_low, r_high)
     weights = nu.weights
-    if not edges:
+    if len(ei) == 0:
         return Decomposition(nu, (), 0.0, nu.mass, r_low, r_high, "max-flow", 0.0)
 
     if k <= greedy_threshold:
-        pair_mass, method, gap = _maxflow_pairing(k, weights, edges)
+        num, scale = _maxflow_pairing(k, weights, ei, ej)
+        # int / int rounds correctly, however large the integers.
+        pair_mass, method, gap = [f / scale for f in num.tolist()], "max-flow", 0.0
     else:
-        pair_mass, method, gap = _greedy_pairing(k, weights, edges)
+        pair_mass, method, gap = _greedy_pairing(k, weights, ei, ej)
 
-    pairs = []
+    pair_mass = np.asarray(pair_mass, dtype=float)
+    sel = pair_mass > _PAIR_MASS_FLOOR
+    ei, ej, dist, pair_mass = ei[sel], ej[sel], dist[sel], pair_mass[sel]
+    stmt = _row_norms((nu.points[ei] - nu.points[ej]) / s_stmt)
     used = np.zeros(k)
-    for (i, j, dist), m in zip(edges, pair_mass):
-        if m <= _PAIR_MASS_FLOOR:
-            continue
-        used[i] += m / 2.0
-        used[j] += m / 2.0
-        dvec = (nu.points[i] - nu.points[j]) / s_stmt
-        sd = float(np.linalg.norm(dvec))
-        pairs.append(
-            BernoulliPair(
-                tuple(float(c) for c in nu.points[i]),
-                tuple(float(c) for c in nu.points[j]),
-                m,
-                dist,
-                sd,
-                eps <= sd <= 1.0 / eps,
-            )
+    # Interleaved i, j order: each atom accumulates its halves in edge order.
+    np.add.at(used, np.column_stack((ei, ej)).ravel(), np.repeat(pair_mass / 2.0, 2))
+    pts = nu.points.tolist()
+    pairs = tuple(
+        BernoulliPair(tuple(pts[i]), tuple(pts[j]), m, rd, sd, eps <= sd <= 1.0 / eps)
+        for i, j, m, rd, sd in zip(
+            ei.tolist(), ej.tolist(), pair_mass.tolist(), dist.tolist(), stmt.tolist()
         )
+    )
     residual = np.maximum(weights - used, 0.0)
     theta = DiscreteMeasure(nu.points, residual)
     paired = math.fsum(p.mass for p in pairs)
-    return Decomposition(theta, tuple(pairs), paired, nu.mass, r_low, r_high, method, gap)
+    return Decomposition(theta, pairs, paired, nu.mass, r_low, r_high, method, gap)
 
 
-def _maxflow_pairing(k, weights, edges):
+def _admissible_pairs(z, r_low, r_high):
+    """Atom pairs i < j at Euclidean distance in [r_low, r_high].
+
+    Returns index arrays ei, ej in sorted (i, j) order and the distances.
+    """
+    from scipy.spatial import cKDTree
+
+    cand = cKDTree(z).query_pairs(r_high * (1 + 1e-12), output_type="ndarray")
+    cand = cand[np.lexsort((cand[:, 1], cand[:, 0]))]
+    dist = _row_norms(z[cand[:, 0]] - z[cand[:, 1]])
+    keep = (dist >= r_low) & (dist <= r_high)
+    return cand[keep, 0], cand[keep, 1], dist[keep]
+
+
+def _row_norms(diff):
+    """Euclidean norm of each row, bit-identical to np.linalg.norm(row).
+
+    norm(row) is sqrt(row @ row); norm(diff, axis=1) sums in another order
+    and differs in the last bit on some rows, which the batched dot does not.
+    """
+    return np.sqrt((diff[:, None, :] @ diff[:, :, None]).ravel())
+
+
+def _maxflow_pairing(k, weights, ei, ej):
     """Exact maximum fractional pairing via the bipartite double cover.
 
     Vertices split into a left and a right copy; each admissible pair
     contributes both cross edges.  The max-flow value equals the maximal
     total pair mass, and edge flows recover the per-pair masses as the
-    average of the two cross flows.
+    sum of the two cross flows.
 
     Float capacities break augmenting-path solvers (residuals drift off
     zero), but every float64 weight is a dyadic rational, so the weights are
     rescaled to exact integers first and the flow is computed over Z.
+    Returns the exact pair masses as Python ints over a common denominator:
+    (numerators per edge, denominator).
     """
-    import networkx as nx
-    from fractions import Fraction
+    ratios = [w.as_integer_ratio() for w in weights.tolist()]
+    scale = math.lcm(*(den for _, den in ratios))
+    cap = np.array([num * (scale // den) for num, den in ratios], dtype=object)
 
-    fracs = [Fraction(float(w)) for w in weights]
-    scale = 1
-    for f in fracs:
-        scale = scale * f.denominator // math.gcd(scale, f.denominator)
-    cap = [int(f * scale) for f in fracs]
-
-    g = nx.DiGraph()
-    src, snk = "s", "t"
-    for v in range(k):
-        g.add_edge(src, ("L", v), capacity=cap[v])
-        g.add_edge(("R", v), snk, capacity=cap[v])
-    for i, j, _ in edges:
-        g.add_edge(("L", i), ("R", j), capacity=cap[i])
-        g.add_edge(("L", j), ("R", i), capacity=cap[j])
-    from networkx.algorithms.flow import dinitz
-
-    _, flows = nx.maximum_flow(g, src, snk, flow_func=dinitz)
+    # Nodes: source 0, left copies 1..k, right copies k+1..2k, sink 2k+1.
+    atoms = np.arange(k)
+    left, right, sink = 1 + atoms, 1 + k + atoms, 2 * k + 1
+    tails = np.concatenate((np.zeros(k, dtype=np.int64), right, left[ei], left[ej]))
+    heads = np.concatenate((left, np.full(k, sink), right[ej], right[ei]))
+    flow = _certified_max_flow(
+        2 * k + 2, tails, heads, np.concatenate((cap, cap, cap[ei], cap[ej])), 0, sink
+    )
     # A pair of mass m places flow m/2 on each of its two cover edges, so the
-    # pair mass is recovered as the sum of the two cross flows, and the total
-    # flow value equals the total paired mass.
-    masses = []
-    for i, j, _ in edges:
-        f = flows.get(("L", i), {}).get(("R", j), 0) + flows.get(("L", j), {}).get(("R", i), 0)
-        masses.append(float(Fraction(f, scale)))
-    return masses, "max-flow", 0.0
+    # pair mass is the sum of the two cross flows, and the total flow value
+    # equals the total paired mass.
+    ne = len(ei)
+    return flow[2 * k : 2 * k + ne] + flow[2 * k + ne :], scale
 
 
-def _greedy_pairing(k, weights, edges):
+def _certified_max_flow(n_nodes, tails, heads, cap, source, sink):
+    """Exact maximum flow for Python-int capacities, certified by a min cut.
+
+    Edge e runs tails[e] -> heads[e] with capacity cap[e] (an object array
+    of Python ints, possibly beyond 2^64); no two edges join the same pair
+    of nodes in either direction.  Returns the exact edge flows.
+
+    scipy's csgraph max-flow is exact on int32 capacities only (int64 input
+    can return wrong flows), so the flow is found by capacity scaling.  Each
+    phase floors the residual capacities to units of 2^s, solves that int32
+    network, and adds its flow times 2^s to the exact flows.  The cut the
+    source then reaches bounds the flow still missing; s is chosen so that
+    bound is below 2^30 units, so no flow is lost to the int32 clamp, and
+    drops until the cut's residual is zero.  The flows are returned only
+    after they are checked to be feasible and the cut the source reaches in
+    the exact residual network is checked to have capacity equal to the flow
+    value, both in exact integer arithmetic.
+    """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import breadth_first_order, maximum_flow
+
+    # Residual network: forward entries tail -> head, backward head -> tail.
+    rows = np.concatenate((tails, heads))
+    cols = np.concatenate((heads, tails))
+    order = np.lexsort((cols, rows))
+    indptr = np.searchsorted(rows[order], np.arange(n_nodes + 1))
+    indices = cols[order]
+    flow = np.zeros(len(tails), dtype=object)
+
+    def floored(s):
+        units = np.concatenate((cap - flow, flow)) >> s
+        return np.minimum(units, _INT32_MAX).astype(np.int32)
+
+    def reached(s):
+        live = floored(s) > 0
+        g = csr_matrix((np.ones(int(live.sum())), (rows[live], cols[live])), (n_nodes, n_nodes))
+        seen = np.zeros(n_nodes, dtype=bool)
+        seen[breadth_first_order(g, source, return_predecessors=False)] = True
+        return seen
+
+    bound = sum(cap[tails == source].tolist())
+    s = max(0, bound.bit_length() - _PHASE_BITS)
+    while True:
+        g = csr_matrix((floored(s)[order], indices, indptr), (n_nodes, n_nodes))
+        step = np.asarray(maximum_flow(g, source, sink, method="dinic").flow[tails, heads])
+        step = step.ravel().astype(object)
+        flow = flow + (step << s)
+        seen = reached(s)
+        if seen[sink]:
+            # Only a clamped capacity can leave a path; the next phase uses it.
+            if not step.any():
+                raise RuntimeError("max-flow phase made no progress")
+            continue
+        # The residual capacity of the reached cut bounds the flow still missing.
+        out, back = seen[tails] & ~seen[heads], ~seen[tails] & seen[heads]
+        bound = sum((cap[out] - flow[out]).tolist()) + sum(flow[back].tolist())
+        if bound == 0:
+            break
+        s = max(0, min(s - 1, bound.bit_length() - _PHASE_BITS))
+
+    seen = reached(0)
+    net = np.zeros(n_nodes, dtype=object)
+    np.add.at(net, heads, flow)
+    np.subtract.at(net, tails, flow)
+    value = -net[source]
+    cut = sum(cap[seen[tails] & ~seen[heads]].tolist())
+    interior = np.ones(n_nodes, dtype=bool)
+    interior[[source, sink]] = False
+    if (
+        seen[sink]
+        or cut != value
+        or any(net[interior].tolist())
+        or not np.all((flow >= 0) & (flow <= cap))
+    ):
+        raise RuntimeError("max-flow certificate failed: the flow is not a certified maximum")
+    return flow
+
+
+def _greedy_pairing(k, weights, ei, ej):
     """Maximal greedy pairing; reports an upper bound on the missed mass."""
-    residual = np.asarray(weights, dtype=float).copy()
-    masses = []
-    order = sorted(range(len(edges)), key=lambda e: -min(residual[edges[e][0]], residual[edges[e][1]]))
-    out = [0.0] * len(edges)
-    for e in order:
-        i, j, _ = edges[e]
+    residual = np.asarray(weights, dtype=float).tolist()
+    order = np.argsort(-np.minimum(weights[ei], weights[ej]), kind="stable")
+    ei_l, ej_l = ei.tolist(), ej.tolist()
+    out = [0.0] * len(ei_l)
+    for e in order.tolist():
+        i, j = ei_l[e], ej_l[e]
         m = 2.0 * min(residual[i], residual[j])
         if m > _PAIR_MASS_FLOOR:
             out[e] = m
@@ -210,8 +293,7 @@ def _greedy_pairing(k, weights, edges):
             residual[j] -= m / 2.0
     value = math.fsum(out)
     touched = np.zeros(k, dtype=bool)
-    for i, j, _ in edges:
-        touched[i] = touched[j] = True
+    touched[ei] = touched[ej] = True
     upper = float(np.sum(np.asarray(weights)[touched]))
     return out, "greedy", max(0.0, upper - value)
 

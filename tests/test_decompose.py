@@ -8,18 +8,32 @@ correctness certificate for the flow reduction.
 """
 
 import math
+import os
+import subprocess
+import sys
+import time
+from fractions import Fraction
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
+from scipy.sparse import coo_matrix, csr_matrix
+from scipy.spatial import cKDTree
 
 from bconv.decompose import (
+    _admissible_pairs,
+    _maxflow_pairing,
+    _row_norms,
     bernoulli_decompose,
     entropy_increase_gap,
     tube_entropy_selfconv,
 )
 from bconv.measures import from_atoms
 from bconv.scales import s_sequence
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _random_fixture(rng, d, n_atoms, n=1, big_n=1):
@@ -64,6 +78,33 @@ def _lp_optimum(nu, lam, n, big_n, window_low, window_high):
     return -res.fun, edges
 
 
+def _sparse_lp_optimum(nu, lam, n, big_n, window_low, window_high):
+    """The LP of _lp_optimum with a sparse constraint matrix, for many atoms."""
+    s_pair = s_sequence(lam, n + 2 * big_n).term(n + 2 * big_n).as_array()
+    z = nu.points / s_pair
+    pairs = cKDTree(z).query_pairs(window_high * (1 + 1e-9), output_type="ndarray")
+    dist = np.linalg.norm(z[pairs[:, 0]] - z[pairs[:, 1]], axis=1)
+    pairs = pairs[(dist >= window_low) & (dist <= window_high)]
+    e = len(pairs)
+    a_ub = coo_matrix(
+        (np.full(2 * e, 0.5), (pairs.ravel(), np.repeat(np.arange(e), 2))),
+        shape=(nu.n_atoms, e),
+    ).tocsr()
+    res = linprog(-np.ones(e), A_ub=a_ub, b_ub=nu.weights, bounds=(0, None), method="highs")
+    assert res.status == 0
+    return -res.fun
+
+
+def _loop_edges(z, window_low, window_high):
+    """Admissible edges as the per-pair loop computed them before vectorising."""
+    edges = []
+    for i, j in sorted(cKDTree(z).query_pairs(window_high * (1 + 1e-12))):
+        dist = float(np.linalg.norm(z[i] - z[j]))
+        if window_low <= dist <= window_high:
+            edges.append((i, j, dist))
+    return edges
+
+
 class TestMaxFlowAgainstLP:
     def test_random_fixtures_match_lp(self):
         rng = np.random.default_rng(2024)
@@ -95,6 +136,145 @@ class TestMaxFlowAgainstLP:
                 assert u <= by_point[pt] + 1e-12
             assert dec.mass_identity_defect() < 1e-12
             assert dec.original_mass == nu.mass
+
+
+class TestEdgeConstruction:
+    def test_edges_and_distances_match_the_loop(self):
+        rng = np.random.default_rng(31)
+        for d in (1, 2, 3):
+            for _ in range(4):
+                nu, lam = _random_fixture(rng, d, int(rng.integers(30, 80)))
+                dec = bernoulli_decompose(nu, lam, n=1, big_n=1, eps=0.05)
+                seq = s_sequence(lam, 3)
+                s_pair, s_stmt = seq.term(3).as_array(), seq.term(1).as_array()
+                z = nu.points / s_pair
+                want = _loop_edges(z, dec.window_low, dec.window_high)
+                assert want, d
+                ei, ej, dist = _admissible_pairs(z, dec.window_low, dec.window_high)
+                assert list(zip(ei.tolist(), ej.tolist(), dist.tolist())) == want
+                assert dec.pairs
+                for p in dec.pairs:
+                    x, y = np.array(p.x), np.array(p.y)
+                    assert p.rescaled_distance == float(np.linalg.norm(x / s_pair - y / s_pair))
+                    assert p.statement_distance == float(np.linalg.norm((x - y) / s_stmt))
+
+    def test_row_norms_bit_identical_to_per_row_norm(self):
+        # norm(rows, axis=1) differs from the per-row norm in the last bit on
+        # about one row in ten at d = 2; the edge distances must not.
+        rng = np.random.default_rng(5)
+        for d in (1, 2, 3):
+            rows = rng.standard_normal((5000, d)) * rng.uniform(0.1, 100.0, (5000, 1))
+            want = [float(np.linalg.norm(r)) for r in rows]
+            assert _row_norms(rows).tolist() == want
+
+
+class TestExactSolver:
+    def test_odd_cycle_takes_the_fractional_optimum(self):
+        # rescaled gaps 1, 1 and 2: all three pairs admissible.  A single
+        # integral pair carries 2/3; splitting every atom over both of its
+        # pairs carries everything.
+        third = 1.0 / 3.0
+        nu = from_atoms([((0.0,), third), ((0.25,), third), ((0.5,), third)])
+        dec = bernoulli_decompose(nu, (0.5,), n=0, big_n=1, eps=0.1)
+        assert dec.method == "max-flow"
+        assert dec.optimality_gap == 0.0
+        assert dec.paired_mass == 1.0
+        assert [p.mass for p in dec.pairs] == [third, third, third]
+
+    def test_capacities_beyond_int32(self):
+        tiny = 2.0**-45
+        nu = from_atoms([((0.0,), 0.5 - tiny), ((0.25,), 0.5 + tiny)])
+        dec = bernoulli_decompose(nu, (0.5,), n=0, big_n=1, eps=0.1)
+        assert dec.method == "max-flow"
+        assert dec.optimality_gap == 0.0
+        (pair,) = dec.pairs
+        assert Fraction(pair.mass) == 1 - Fraction(1, 2**44)
+        assert Fraction(dec.paired_mass) == 1 - Fraction(1, 2**44)
+        assert Fraction(dec.theta.mass) == Fraction(1, 2**44)
+
+    def test_capacities_beyond_int64(self):
+        # Two clusters: gaps inside a cluster fall below the 1/6 floor and
+        # every cross gap is admissible, so the optimum is 2 min(W_A, W_B).
+        rng = np.random.default_rng(64)
+        w = rng.uniform(0.0, 1.0, 12) ** 6
+        w[[2, 9]] = (3e-9, 7e-11)
+        w /= w.sum()
+        x = np.concatenate((np.arange(7) * 0.001, 1.0 + np.arange(5) * 0.001))
+        nu = from_atoms(zip(x[:, None], w))
+        fracs = [Fraction(v) for v in nu.weights.tolist()]
+        assert math.lcm(*(f.denominator for f in fracs)) >= 2**64
+        side_a = nu.points[:, 0] < 0.5
+        w_a = sum(f for f, a in zip(fracs, side_a) if a)
+        w_b = sum(f for f, a in zip(fracs, side_a) if not a)
+        optimum = 2 * min(w_a, w_b)
+
+        z = nu.points / s_sequence((0.5,), 2).term(2).as_array()
+        ei, ej, _ = _admissible_pairs(z, 1.0 / 6.0, 16.0)
+        assert len(ei) == 35
+        num, scale = _maxflow_pairing(nu.n_atoms, nu.weights, ei, ej)
+        assert Fraction(sum(num.tolist()), scale) == optimum
+        used = [0] * nu.n_atoms
+        for i, j, m in zip(ei.tolist(), ej.tolist(), num.tolist()):
+            assert m >= 0
+            used[i] += m
+            used[j] += m
+        assert all(Fraction(u, 2 * scale) <= f for u, f in zip(used, fracs))
+
+        dec = bernoulli_decompose(nu, (0.5,), n=0, big_n=1, eps=0.1)
+        assert dec.method == "max-flow"
+        assert dec.optimality_gap == 0.0
+        assert dec.paired_mass == pytest.approx(float(optimum), rel=1e-15)
+        assert dec.mass_identity_defect() < 1e-12
+
+    def test_certificate_rejects_a_flow_that_breaks_conservation(self, monkeypatch):
+        # A solver that fills the source edges and nothing else reaches the
+        # flow value of a cut, but not as a flow: the certificate refuses it.
+        def fake(graph, source, sink, method):
+            graph = csr_matrix(graph)
+            flow = np.zeros(graph.shape, dtype=np.int32)
+            flow[source] = graph[source].toarray().ravel()
+            return SimpleNamespace(flow=csr_matrix(flow - flow.T))
+
+        monkeypatch.setattr("scipy.sparse.csgraph.maximum_flow", fake)
+        nu = from_atoms([((0.0,), 0.25), ((0.25,), 0.25), ((10.0,), 0.25), ((10.25,), 0.25)])
+        with pytest.raises(RuntimeError, match="certificate"):
+            bernoulli_decompose(nu, (0.5,), n=0, big_n=1, eps=0.1)
+
+    def test_two_thousand_atoms_match_sparse_lp(self):
+        rng = np.random.default_rng(2000)
+        x = np.arange(2000) * 0.5 + rng.uniform(-0.1, 0.1, 2000)
+        w = rng.uniform(0.1, 1.0, 2000)
+        nu = from_atoms(zip(x[:, None], w / w.sum()))
+        t0 = time.perf_counter()
+        dec = bernoulli_decompose(nu, (0.5,), n=1, big_n=1, eps=0.05)
+        elapsed = time.perf_counter() - t0
+        opt = _sparse_lp_optimum(nu, (0.5,), 1, 1, dec.window_low, dec.window_high)
+        assert dec.method == "max-flow"
+        assert dec.optimality_gap == 0.0
+        assert abs(dec.paired_mass - opt) <= 1e-9
+        assert dec.mass_identity_defect() < 1e-12
+        assert elapsed < 5.0
+
+
+def test_decompose_never_imports_networkx():
+    code = (
+        "import sys\n"
+        "from bconv.decompose import bernoulli_decompose\n"
+        "from bconv.measures import from_atoms\n"
+        "nu = from_atoms([((0.0,), 0.25), ((0.25,), 0.25), ((10.0,), 0.25), ((10.25,), 0.25)])\n"
+        "assert bernoulli_decompose(nu, (0.5,), n=0, big_n=1, eps=0.1).method == 'max-flow'\n"
+        "print('networkx' in sys.modules)\n"
+    )
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    res = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    assert res.stdout.strip() == "False"
 
 
 class TestTwoPairFixture:
