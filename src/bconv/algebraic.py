@@ -21,6 +21,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BudgetExceededError
 
@@ -475,13 +476,25 @@ def _build_half(ks: range, coeffs: tuple[int, ...], powers: list[float]) -> np.n
     return vals
 
 
-def _decode(index: int, n_digits: int, coeffs: tuple[int, ...]) -> tuple[int, ...]:
+def _halves(xi: float, n: int, coeffs: tuple[int, ...]):
+    """Powers, split h = n // 2, the low and high half tables, and their all-zero indices.
+
+    A family member's value is high[j] + low[i], bit-identical to _canonical_value.
+    """
+    powers = _powers(xi, n)
+    h = n // 2
+    low = _build_half(range(0, h), coeffs, powers)
+    high = _build_half(range(h, n), coeffs, powers)
+    z, base = coeffs.index(0), len(coeffs)  # the all-zero index has digit z everywhere
+    zl, zh = (z * (base**m - 1) // (base - 1) for m in (h, n - h))
+    return powers, h, low, high, zl, zh
+
+
+def _digits(index: np.ndarray, n_digits: int, coeffs: tuple[int, ...]) -> np.ndarray:
+    """Digit rows of half-table indices; position t sits at stride |coeffs|^t."""
     base = len(coeffs)
-    out = []
-    for _ in range(n_digits):
-        out.append(coeffs[index % base])
-        index //= base
-    return tuple(out)
+    strides = base ** np.arange(n_digits, dtype=np.int64)
+    return np.array(coeffs)[(index[:, None] // strides) % base]
 
 
 def _canonical_value(digits: Sequence[int], powers: list[float], h: int) -> float:
@@ -499,12 +512,6 @@ def _rev_key(digits: Sequence[int]) -> tuple[int, ...]:
     return tuple(reversed(digits))
 
 
-def _zero_index(coeffs: tuple[int, ...], n_digits: int) -> int:
-    z = coeffs.index(0)
-    base = len(coeffs)
-    return sum(z * base**t for t in range(n_digits))
-
-
 def _search_exhaustive(
     xi: float, n: int, coeffs: tuple[int, ...], budget: int
 ) -> tuple[tuple[int, ...], float]:
@@ -513,80 +520,87 @@ def _search_exhaustive(
         raise BudgetExceededError(
             f"exhaustive search needs {base**n} evaluations, budget is {budget}"
         )
-    powers = _powers(xi, n)
-    h = n // 2
-    low = _build_half(range(0, h), coeffs, powers)
-    high = _build_half(range(h, n), coeffs, powers)
-    zl, zh = _zero_index(coeffs, h), _zero_index(coeffs, n - h)
+    powers, h, low, high, zl, zh = _halves(xi, n, coeffs)
 
     block = max(1, (1 << 22) // max(1, len(low)))
     best = math.inf
+    ties: list[tuple[int, ...]] = []
     for start in range(0, len(high), block):
         sums = np.abs(high[start : start + block, None] + low[None, :])
         j0 = zh - start
         if 0 <= j0 < sums.shape[0]:
             sums[j0, zl] = math.inf
         m = float(sums.min())
+        if m > best:
+            continue
         if m < best:
-            best = m
-    ties: list[tuple[int, ...]] = []
-    for start in range(0, len(high), block):
-        sums = np.abs(high[start : start + block, None] + low[None, :])
-        j0 = zh - start
-        if 0 <= j0 < sums.shape[0]:
-            sums[j0, zl] = math.inf
+            best, ties = m, []
         jj, ii = np.nonzero(sums == best)
-        for j, i in zip(jj.tolist(), ii.tolist()):
-            ties.append(_decode(i, h, coeffs) + _decode(j + start, n - h, coeffs))
+        rows = np.hstack([_digits(ii, h, coeffs), _digits(jj + start, n - h, coeffs)])
+        ties.extend(map(tuple, rows.tolist()))
     digits = min(ties, key=_rev_key)
     return digits, _canonical_value(digits, powers, h)
 
 
-def _search_meet_in_middle(
-    xi: float, n: int, coeffs: tuple[int, ...], budget: int
-) -> tuple[tuple[int, ...], float]:
+def _window_bound(hs: np.ndarray, low: np.ndarray, zl: int, zs: int, take: int) -> float:
+    """The take-th smallest |hs[j] + low[i]| over each row's nearest sorted neighbours.
+
+    Row i's window is the w entries of hs on each side of -low[i], padded with
+    inf past the ends, so it holds at least min(w, len(hs)) real pairs.  With
+    w * len(low) > take the windows hold `take` distinct pairs besides the
+    all-zero one (row zl, sorted position zs), which makes the result an upper
+    bound on the family's take-th smallest |value|.
+    """
+    w = -(-(take + 1) // len(low))
+    pos = np.searchsorted(hs, -low)
+    near = sliding_window_view(np.pad(hs, w, constant_values=math.inf), 2 * w)[pos]
+    near += low[:, None]
+    np.abs(near, out=near)
+    if 0 <= zs + w - pos[zl] < 2 * w:
+        near[zl, zs + w - pos[zl]] = math.inf
+    return float(np.partition(near, take - 1, axis=None)[take - 1])
+
+
+def _smallest(
+    xi: float, n: int, coeffs: tuple[int, ...], k: int, budget: int
+) -> list[tuple[float, tuple[int, ...], float]]:
+    """The first k (|value|, digits, value) of the family in (|value|, _rev_key) order.
+
+    Sorted-halves search: the high half is stably sorted, every low entry
+    finds its nearest high neighbours, and the k-th smallest of those sums
+    bounds the answer by tau.  All pairs within tau are then collected by
+    searchsorted ranges, so ties at the k-th value are kept whole and cut by
+    the tie rule, not by selection order.
+    """
     base = len(coeffs)
     h = n // 2
     if base ** max(h, n - h) > budget:
         raise BudgetExceededError(
             f"meet-in-the-middle table of {base ** max(h, n - h)} entries exceeds budget {budget}"
         )
-    powers = _powers(xi, n)
-    low = _build_half(range(0, h), coeffs, powers)
-    high = _build_half(range(h, n), coeffs, powers)
-    zl, zh = _zero_index(coeffs, h), _zero_index(coeffs, n - h)
-
+    _, h, low, high, zl, zh = _halves(xi, n, coeffs)
     order = np.argsort(high, kind="stable")
     hs = high[order]
-    pos = np.searchsorted(hs, -low)
+    zs = int(np.flatnonzero(order == zh)[0])  # sorted position of the all-zero high half
+    take = min(k, base**n - 1)
 
-    best = math.inf
-    # +-2 window: masking the all-zero cell can hide one immediate neighbor.
-    for d in (-2, -1, 0, 1):
-        j = np.clip(pos + d, 0, len(hs) - 1)
-        vals = np.abs(hs[j] + low)
-        # The all-zero polynomial is not a candidate.
-        forbidden = (order[j] == zh) & (np.arange(len(low)) == zl)
-        vals[forbidden] = math.inf
-        m = float(vals.min())
-        if m < best:
-            best = m
-    if not math.isfinite(best):  # pragma: no cover
-        raise AssertionError("search family exhausted")
+    tau = _window_bound(hs, low, zl, zs, take)
+    if not math.isfinite(tau):
+        raise ValueError(f"|P(xi)| overflows float64 for xi={xi!r} at degree bound {n}")
 
-    ties: list[tuple[int, ...]] = []
-    for i in range(len(low)):
-        for target in (-low[i] + best, -low[i] - best):
-            lo_j = int(np.searchsorted(hs, target, side="left"))
-            hi_j = int(np.searchsorted(hs, target, side="right"))
-            for j in range(lo_j, hi_j):
-                if abs(hs[j] + low[i]) == best:
-                    oj = int(order[j])
-                    if i == zl and oj == zh:
-                        continue
-                    ties.append(_decode(i, h, coeffs) + _decode(oj, n - h, coeffs))
-    digits = min(ties, key=_rev_key)
-    return digits, _canonical_value(digits, powers, h)
+    # fl(hs[j] + low[i]) is monotone in j, so each row's pairs within tau are
+    # one run of hs; widen its ends by a few ulps and filter exactly.
+    slack = 4 * np.spacing(np.abs(low) + tau)
+    first = np.searchsorted(hs, -low - tau - slack, side="left")
+    counts = np.searchsorted(hs, -low + tau + slack, side="right") - first
+    ii = np.repeat(np.arange(len(low)), counts)
+    jj = np.repeat(first - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
+    values = hs[jj] + low[ii]
+    keep = (np.abs(values) <= tau) & ((ii != zl) | (jj != zs))
+    values = values[keep]
+    digits = np.hstack([_digits(ii[keep], h, coeffs), _digits(order[jj[keep]], n - h, coeffs)])
+    pick = np.lexsort(tuple(digits.T) + (np.abs(values),))[:take]
+    return [(abs(v), tuple(d), v) for v, d in zip(values[pick].tolist(), digits[pick].tolist())]
 
 
 def _search_branch_and_bound(
@@ -649,7 +663,7 @@ def min_value_poly_search(
     if strategy == "exhaustive":
         digits, value = _search_exhaustive(xi, n, coeffs, budget)
     elif strategy == "meet-in-middle":
-        digits, value = _search_meet_in_middle(xi, n, coeffs, budget)
+        _, digits, value = _smallest(xi, n, coeffs, 1, budget)[0]
     elif strategy == "branch-and-bound":
         digits, value = _search_branch_and_bound(xi, n, coeffs)
     else:
@@ -658,29 +672,10 @@ def min_value_poly_search(
 
 
 def _top_candidates(
-    xi: float, n: int, coeffs: tuple[int, ...], k: int, budget: int = 1 << 22
+    xi: float, n: int, coeffs: tuple[int, ...], k: int, budget: int = 1 << 24
 ) -> list[tuple[float, tuple[int, ...]]]:
     """The k best (|value|, digits) pairs, ordered by value then tie rule."""
-    base = len(coeffs)
-    if base**n > budget:
-        raise BudgetExceededError(
-            f"candidate ranking needs {base**n} evaluations, budget is {budget}"
-        )
-    powers = _powers(xi, n)
-    h = n // 2
-    low = _build_half(range(0, h), coeffs, powers)
-    high = _build_half(range(h, n), coeffs, powers)
-    sums = np.abs(high[:, None] + low[None, :]).ravel()
-    sums[_zero_index(coeffs, n - h) * len(low) + _zero_index(coeffs, h)] = math.inf
-    take = min(k, sums.size - 1)
-    idx = np.argpartition(sums, take - 1)[:take]
-    scored = []
-    for flat in idx.tolist():
-        j, i = divmod(flat, len(low))
-        digits = _decode(i, h, coeffs) + _decode(j, n - h, coeffs)
-        scored.append((float(sums[flat]), _rev_key(digits), digits))
-    scored.sort(key=lambda t: (t[0], t[1]))
-    return [(a, d) for a, _, d in scored]
+    return [(a, d) for a, d, _ in _smallest(xi, n, coeffs, k, budget)]
 
 
 # ---------------------------------------------------------------------------

@@ -103,6 +103,11 @@ def _quad_from_args(args) -> ent.QuadratureSpec:
     return ent.QuadratureSpec(**kw)
 
 
+def _budget_kw(args) -> dict:
+    """Forward --budget only when it was given, so each callee keeps its default."""
+    return {} if args.budget is None else {"budget": args.budget}
+
+
 def _lam_from_args(args) -> ScaleVector:
     if getattr(args, "lam", None):
         return ScaleVector(_parse_floats(args.lam))
@@ -146,7 +151,7 @@ def _cmd_dim(args) -> dict:
     lyap = sa.lyapunov_dimension(spec)
     rows = []
     for n in _parse_range(args.n):
-        rep = sa.kappa_estimate(spec, n)
+        rep = sa.kappa_estimate(spec, n, **_budget_kw(args))
         rows.append(
             {
                 "n": n,
@@ -216,8 +221,7 @@ def _cmd_rw_entropy(args) -> dict:
 def _cmd_overlap(args) -> dict:
     spec = load_system_spec(args.spec)
     (n_max,) = _parse_range(args.n)
-    kw = {"budget": args.budget} if args.budget else {}
-    rep = sa.system_overlap_depth(spec, n_max, **kw)
+    rep = sa.system_overlap_depth(spec, n_max, **_budget_kw(args))
     return {
         "per_axis": list(rep.per_axis),
         "joint": rep.joint,
@@ -228,8 +232,7 @@ def _cmd_overlap(args) -> dict:
 def _cmd_separation(args) -> dict:
     spec = load_system_spec(args.spec)
     (n_max,) = _parse_range(args.n)
-    kw = {"budget": args.budget} if args.budget else {}
-    rep = sa.separation_profile(spec, n_max, **kw)
+    rep = sa.separation_profile(spec, n_max, **_budget_kw(args))
     rows = []
     for n in range(1, n_max + 1):
         for j in range(spec.dim):
@@ -343,8 +346,9 @@ def _cmd_mahler(args) -> dict:
 
 
 def _cmd_poly_search(args) -> dict:
-    kw = {"budget": args.budget} if args.budget else {}
-    res = min_value_poly_search(args.xi, args.n_int, _parse_ints(args.coeffs), args.strategy, **kw)
+    res = min_value_poly_search(
+        args.xi, args.n_int, _parse_ints(args.coeffs), args.strategy, **_budget_kw(args)
+    )
     return {
         "poly": list(res.poly.coeffs),
         "value": res.value,
@@ -397,10 +401,11 @@ def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="bconv", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, *, quad=False, spec=False, measure=False, lam=False, n=None):
+    def common(p, *, budget=False, quad=False, spec=False, measure=False, lam=False, n=None):
         p.add_argument("--out", help="output path (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="json")
-        p.add_argument("--budget", type=int, default=None, help="enumeration or cell budget")
+        if budget:
+            p.add_argument("--budget", type=int, default=None, help="enumeration or cell budget")
         if quad:
             p.add_argument("--quad", choices=("exact", "qmc"), default=None)
             p.add_argument("--offsets", type=int, default=None)
@@ -418,7 +423,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--n", required=True, help=n)
 
     p = sub.add_parser("dim", help="level-n entropy dimension estimates")
-    common(p, spec=True, n="level or range A..B")
+    common(p, budget=True, spec=True, n="level or range A..B")
     p.set_defaults(handler=_cmd_dim)
 
     p = sub.add_parser("entropy", help="partition entropy at level n")
@@ -426,7 +431,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_entropy)
 
     p = sub.add_parser("avg-entropy", help="average entropy at a scale")
-    common(p, quad=True, measure=True)
+    common(p, budget=True, quad=True, measure=True)
     p.add_argument("--r", required=True, help="scale (scalar or comma-separated)")
     p.add_argument("--r2", default=None, help="coarse scale for conditional entropy")
     p.set_defaults(handler=_cmd_avg_entropy)
@@ -437,11 +442,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_rw_entropy)
 
     p = sub.add_parser("overlap", help="first exact word coincidence depth")
-    common(p, spec=True, n="max depth")
+    common(p, budget=True, spec=True, n="max depth")
     p.set_defaults(handler=_cmd_overlap)
 
     p = sub.add_parser("separation", help="minimal word-value gaps")
-    common(p, spec=True, n="max depth")
+    common(p, budget=True, spec=True, n="max depth")
     p.set_defaults(handler=_cmd_separation)
 
     p = sub.add_parser("nonsat", help="non-saturation profile")
@@ -457,7 +462,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_decompose)
 
     p = sub.add_parser("increase", help="entropy gain from convolution")
-    common(p, quad=True, measure=True, lam=True)
+    common(p, budget=True, quad=True, measure=True, lam=True)
     p.add_argument("--measure2", required=True, help="convolving measure (atom CSV)")
     p.add_argument("--t1", type=float, required=True)
     p.add_argument("--t2", type=float, required=True)
@@ -478,7 +483,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_mahler)
 
     p = sub.add_parser("poly-search", help="minimize |P(xi)| over bounded families")
-    common(p)
+    common(p, budget=True)
     p.add_argument("--xi", type=float, required=True)
     p.add_argument("--n", dest="n_int", type=int, required=True, help="degree bound")
     p.add_argument("--coeffs", required=True, help="coefficient set, comma-separated")

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from bconv.algebraic import (
+    _top_candidates,
     AlgebraicNumber,
     approximate_parameters,
     count_roots_in_disk,
@@ -292,6 +293,21 @@ class TestMinValuePolySearch:
             assert res.value == -0.5
             assert res.strategy == strategy
 
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_tiebreak_at_half_all_strategies(self, n):
+        # |P(1/2)| >= 2^-(n-1) with many ties; the tie rule picks the vector
+        # with the most -1 entries from the top: 1 - x - ... - x^(n-1)
+        expected = {1: (-1,), 2: (0, -1)}.get(n, (1,) + (-1,) * (n - 1))
+        for strategy in ("exhaustive", "meet-in-middle", "branch-and-bound"):
+            res = min_value_poly_search(0.5, n, (-1, 0, 1), strategy=strategy)
+            assert res.poly.coeffs == expected, (n, strategy)
+            assert abs(res.value) == 2.0 ** -(n - 1)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_overflow_refused(self):
+        with pytest.raises(ValueError, match="overflows"):
+            min_value_poly_search(1e200, 4, (-1, 0, 1), strategy="meet-in-middle")
+
     def test_zero_poly_excluded(self):
         res = min_value_poly_search(0.7, 3, (0, 1))
         assert res.poly.coeffs == (0, 0, 1)
@@ -335,6 +351,69 @@ class TestMinValuePolySearch:
             min_value_poly_search(0.7, 3, (-1, 0, 1), strategy="oracle")
 
 
+def _brute_force_ranking(xi, n, coeffs):
+    """Every nonzero family member as (|value|, digits), sorted by |value| and
+    then by the descending-degree tuple; values use the split evaluation."""
+    powers = [1.0]
+    for _ in range(1, n):
+        powers.append(powers[-1] * xi)
+    h = n // 2
+    family = []
+    for d in itertools.product(coeffs, repeat=n):
+        if any(d):
+            lo = 0.0
+            for k in range(h):
+                lo = d[k] * powers[k] + lo
+            hi = 0.0
+            for k in range(h, n):
+                hi = d[k] * powers[k] + hi
+            family.append((abs(lo + hi), d[::-1], d))
+    family.sort()
+    return [(a, d) for a, _, d in family]
+
+
+def _ranking_fixtures():
+    fixtures = [
+        (0.5, 1, (-1, 0, 1)),
+        (0.5, 2, (-1, 0, 1)),
+        (0.5, 7, (-1, 0, 1)),
+        (0.5, 5, (-2, -1, 0, 1, 2)),
+        (0.25, 4, (-2, 0, 2)),
+        (0.25, 7, (-1, 0, 1, 2)),
+        (GOLDEN, 6, (-2, 0, 2)),
+        (GOLDEN, 8, (-2, 0, 2)),
+        (-0.5, 6, (0, 1)),
+    ]
+    rng = np.random.default_rng(404)
+    sets = [(-1, 0, 1), (-2, 0, 2), (-1, 0, 1, 2), (0, 3)]
+    for i in range(8):
+        xi = float(rng.uniform(-0.95, 0.95))
+        fixtures.append((xi, int(rng.integers(1, 8)), sets[i % len(sets)]))
+    return fixtures
+
+
+class TestTopCandidates:
+    """The sorted-halves kernel against a brute-force ranking of the family."""
+
+    @pytest.mark.parametrize("xi, n, coeffs", _ranking_fixtures())
+    def test_matches_brute_force(self, xi, n, coeffs):
+        ranking = _brute_force_ranking(xi, n, coeffs)
+        for k in (1, 2, 7, 32):
+            assert _top_candidates(xi, n, coeffs, k) == ranking[:k], k
+
+    def test_tie_group_cut_by_tie_rule(self):
+        # the 7th and 8th best share |P(1/4)| = 5/32; the tie rule keeps the -2 one
+        top = _top_candidates(0.25, 4, (-2, 0, 2), 7)
+        assert top[-1] == (0.15625, (0, 0, -2, -2))
+
+    def test_budget_counts_half_table_entries(self):
+        assert len(_top_candidates(0.7, 4, (-1, 0, 1), 3, budget=9)) == 3
+        with pytest.raises(BudgetExceededError, match="budget"):
+            _top_candidates(0.7, 4, (-1, 0, 1), 3, budget=8)
+        with pytest.raises(BudgetExceededError, match="budget"):
+            _top_candidates(GOLDEN, 16, (-2, 0, 2), 32, budget=10)
+
+
 class TestApproximateParameters:
     def test_golden_recovery(self):
         rep = approximate_parameters((GOLDEN,), 3, ((-2, 0, 2),))
@@ -359,6 +438,13 @@ class TestApproximateParameters:
         assert ax.distance == pytest.approx(0.3, abs=1e-12)
         assert rep.eta is None
         assert not rep.in_omega
+
+    def test_golden_recovery_at_degree_16(self):
+        # the candidate ranking spans 3^16 polynomials but tables of 3^8 entries
+        rep = approximate_parameters((GOLDEN,), 16, ((-2, 0, 2),))
+        ax = rep.axes[0]
+        assert ax.status == "ok"
+        assert ax.eta is not None and ax.eta.minpoly.coeffs == (-1, 1, 1)
 
     def test_axis_count_validation(self):
         with pytest.raises(ValueError, match="per axis"):

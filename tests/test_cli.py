@@ -264,6 +264,34 @@ class TestExitCodes:
         assert code == 2
         assert "budget refused" in capsys.readouterr().err
 
+    def test_budget_zero_is_refused(self, capsys):
+        argv = ["poly-search", "--xi", "0.7", "--n", "12", "--coeffs", "-1,0,1"]
+        assert dispatch([*argv, "--strategy", "exhaustive", "--budget", "0"]) == 2
+        assert "budget refused" in capsys.readouterr().err
+
+    def test_dim_forwards_budget(self, capsys):
+        assert dispatch(["dim", "--spec", str(THIRD_SPEC), "--n", "6", "--budget", "10"]) == 2
+        assert "budget refused" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["entropy", "--measure", str(PAIR_CSV), "--lam", "0.5", "--n", "1"],
+            ["rw-entropy", "--spec", str(GOLDEN_SPEC), "--n", "3"],
+            ["nonsat", "--measure", str(PAIR_CSV), "--lam", "0.5", "--eps", "0.1", "--m", "2",
+             "--n", "1"],
+            ["decompose", "--measure", str(PAIR_CSV), "--lam", "0.5", "--n", "0", "--N", "1",
+             "--eps", "0.1"],
+            ["tube", "--lam", "0.5", "--x", "0", "--y", "1", "--k", "16", "--m", "3"],
+            ["mahler", "--poly", "1,1,1"],
+            ["approx", "--spec", str(GOLDEN_SPEC), "--n", "3"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_budget_rejected_where_unused(self, argv, capsys):
+        assert dispatch([*argv, "--budget", "5"]) == 1
+        assert "--budget" in capsys.readouterr().err
+
     def test_cell_budget_refusal(self, capsys):
         # r = 1 would degenerate to one offset cell; 0.37 forces three
         code = dispatch(
