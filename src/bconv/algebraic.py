@@ -454,6 +454,10 @@ def _validate_search(xi: float, n: int, coeff_set: Sequence[int]) -> tuple[float
         raise ValueError("coefficient set must contain 0")
     if len(coeffs) < 2:
         raise ValueError("coefficient set must contain a nonzero value")
+    # Every |P(xi)| and partial sum is at most max|c| * sum |xi|^k; while that
+    # bound is finite, no strategy's float arithmetic can overflow.
+    if not math.isfinite(max(map(abs, coeffs)) * sum(map(abs, _powers(xi, n)))):
+        raise ValueError(f"|P(xi)| overflows float64 for xi={xi!r} at degree bound {n}")
     return xi, n, coeffs
 
 
@@ -585,8 +589,6 @@ def _smallest(
     take = min(k, base**n - 1)
 
     tau = _window_bound(hs, low, zl, zs, take)
-    if not math.isfinite(tau):
-        raise ValueError(f"|P(xi)| overflows float64 for xi={xi!r} at degree bound {n}")
 
     # fl(hs[j] + low[i]) is monotone in j, so each row's pairs within tau are
     # one run of hs; widen its ends by a few ulps and filter exactly.

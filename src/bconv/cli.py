@@ -95,11 +95,8 @@ def _quad_from_args(args) -> ent.QuadratureSpec:
         kw["offsets"] = args.offsets
     if args.seed is not None:
         kw["seed"] = args.seed
-    cell = getattr(args, "cell_budget", None)
-    if cell is None:
-        cell = args.budget
-    if cell is not None:
-        kw["cell_budget"] = cell
+    if args.budget is not None:
+        kw["cell_budget"] = args.budget
     return ent.QuadratureSpec(**kw)
 
 
@@ -410,7 +407,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--quad", choices=("exact", "qmc"), default=None)
             p.add_argument("--offsets", type=int, default=None)
             p.add_argument("--seed", type=int, default=None)
-            p.add_argument("--cell-budget", dest="cell_budget", type=int, default=None)
         if spec:
             p.add_argument("--spec", required=True, help="system spec JSON")
         if measure:

@@ -82,14 +82,13 @@ def bernoulli_decompose(
     n: int,
     big_n: int,
     eps: float,
-    greedy_threshold: int = _GREEDY_THRESHOLD,
 ) -> Decomposition:
     """Extract the maximal mass of admissibly separated Bernoulli pairs.
 
     Admissibility, checked after rescaling by s_{n+2N}^{-1}: pair endpoints
     at Euclidean distance in [1/6, 2 |lambda^{-3N}|].  Mass splits
     fractionally; the residual theta keeps whatever no pair could carry.
-    Beyond greedy_threshold atoms an O(E log E) greedy pairing replaces the
+    Beyond _GREEDY_THRESHOLD (10,000) atoms an O(E log E) greedy pairing replaces the
     exact flow and the report carries its optimality gap bound.
     """
     lam = validate_contraction_vector(lam)
@@ -117,7 +116,7 @@ def bernoulli_decompose(
     if len(ei) == 0:
         return Decomposition(nu, (), 0.0, nu.mass, r_low, r_high, "max-flow", 0.0)
 
-    if k <= greedy_threshold:
+    if k <= _GREEDY_THRESHOLD:
         num, scale = _maxflow_pairing(k, weights, ei, ej)
         # int / int rounds correctly, however large the integers.
         pair_mass, method, gap = [f / scale for f in num.tolist()], "max-flow", 0.0

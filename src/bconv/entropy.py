@@ -17,6 +17,10 @@ volume, so its only error is float rounding.  A quasi-random fallback
 averages over a low-discrepancy offset set when the breakpoint product is
 out of budget.
 
+Every cell decision is a floor of a scaled coordinate, and it is refused
+once that coordinate reaches 2^52 in magnitude: from there on doubles are
+integers, so the key would say nothing about the cell.
+
 Entropy of a mass-c measure at a scale is defined as c times the entropy of
 the normalized measure; this scaling convention applies to average entropy
 only.  Partition entropy normalizes internally and always refers to the
@@ -34,7 +38,7 @@ import numpy as np
 
 from .errors import BoundaryHazardWarning, BudgetExceededError
 from .measures import DiscreteMeasure
-from .scales import ScaleVector, _as_scale, _nudged_floor, dyadic_levels
+from .scales import ScaleVector, _as_scale, dyadic_levels
 
 __all__ = [
     "QuadratureSpec",
@@ -50,8 +54,13 @@ __all__ = [
     "avg_cond_entropy",
 ]
 
+# Scaled coordinates at or beyond 2^52 carry no fractional bits to key by.
+_KEY_LIMIT = 2.0**52
 # Combined group codes must stay within int64.
 _CODE_LIMIT = 2**62
+# Values closer than this to a cell boundary (in key units) get nudged.
+_HAZARD_TOL = 2.0**-45
+_HAZARD_SHIFT = 2.0**-44
 
 
 @dataclass(frozen=True)
@@ -94,16 +103,12 @@ class EntropyReport:
 
 
 @dataclass(frozen=True)
-class _DyadicColumn:
+class _Column:
+    """One key column: the cell of x is floor(x[axis] / scale + offset)."""
+
     axis: int  # 0-based
-    level: int
-
-
-@dataclass(frozen=True)
-class _GridColumn:
-    axis: int
     scale: float
-    offset: float
+    offset: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -115,7 +120,7 @@ class Keying:
     """
 
     dim: int
-    columns: tuple[_DyadicColumn | _GridColumn, ...]
+    columns: tuple[_Column, ...]
 
     def join(self, other: "Keying") -> "Keying":
         if self.dim != other.dim:
@@ -130,12 +135,7 @@ class Keying:
         out = np.empty((n, len(self.columns)), dtype=np.int64)
         hazards = 0
         for c, col in enumerate(self.columns):
-            if isinstance(col, _DyadicColumn):
-                v = points[:, col.axis] * 2.0**col.level
-            else:
-                v = points[:, col.axis] / col.scale + col.offset
-            keys, h = _floor_keys(v)
-            out[:, c] = keys
+            out[:, c], h = _floor_keys(points[:, col.axis] / col.scale + col.offset)
             hazards += h
         if hazards:
             warnings.warn(
@@ -154,11 +154,36 @@ class Keying:
             return tuple(int(v) for v in self.key_matrix(pt)[0])
 
 
+def _floor(v: np.ndarray) -> np.ndarray:
+    """floor(v), refused unless every |v| < 2^52.
+
+    From 2^52 on every double is an integer, so a scaled coordinate there no
+    longer tells which cell it lies in; the keys would be noise.
+    """
+    if not np.all(np.abs(v) < _KEY_LIMIT):
+        raise ValueError(
+            "scaled coordinates must be finite and below 2^52 in magnitude; "
+            "cell keys would lose precision"
+        )
+    return np.floor(v)
+
+
 def _floor_keys(v: np.ndarray) -> tuple[np.ndarray, int]:
-    """Nudged floor (scales._nudged_floor) as int64 keys."""
-    fl, hazards = _nudged_floor(v)
-    if np.any(np.abs(fl) >= _CODE_LIMIT):
-        raise ValueError("key magnitude exceeds the int64 range")
+    """Floor as int64 keys, with a deterministic boundary nudge.
+
+    Values within 2^-45 of an integer are shifted by +2^-44 before flooring,
+    so a point that roundoff left just below a cell edge lands in the cell
+    it would occupy in exact arithmetic.  Returns the keys and the number of
+    nudged values.
+    """
+    fl = _floor(v)
+    frac = v - fl
+    near = (frac < _HAZARD_TOL) | (frac > 1.0 - _HAZARD_TOL)
+    hazards = int(np.count_nonzero(near))
+    if hazards:
+        v = v.copy()
+        v[near] += _HAZARD_SHIFT
+        fl = np.floor(v)
     return fl.astype(np.int64), hazards
 
 
@@ -166,7 +191,7 @@ def en(n: int, lam: "ScaleVector | Sequence[float]") -> Keying:
     """Keying of the anisotropic dyadic partition at level n."""
     lam = _as_scale(lam)
     levels = dyadic_levels(lam.entries, n)
-    return Keying(len(lam), tuple(_DyadicColumn(j, k) for j, k in enumerate(levels)))
+    return Keying(len(lam), tuple(_Column(j, 2.0**-k) for j, k in enumerate(levels)))
 
 
 def en_join_projected(
@@ -188,7 +213,7 @@ def en_join_projected(
     if list(axes) != sorted(set(axes)):
         raise ValueError("axes must be strictly increasing")
     fine_levels = dyadic_levels(lam.entries, n + m)
-    cols = tuple(_DyadicColumn(a - 1, fine_levels[a - 1]) for a in axes)
+    cols = tuple(_Column(a - 1, 2.0 ** -fine_levels[a - 1]) for a in axes)
     return Keying(len(lam), base.columns + cols)
 
 
@@ -207,7 +232,7 @@ def grid(
         raise ValueError("offset dimension mismatch")
     if any(u < 0.0 or u >= 1.0 for u in off):
         raise ValueError("offset entries must lie in [0, 1)")
-    return Keying(d, tuple(_GridColumn(j, r[j], off[j]) for j in range(d)))
+    return Keying(d, tuple(_Column(j, r[j], off[j]) for j in range(d)))
 
 
 def trivial(dim: int) -> Keying:
@@ -258,8 +283,12 @@ def conditional_entropy(mu: DiscreteMeasure, fine: Keying, coarse: Keying) -> fl
     Both terms are computed by the same grouped summation, so the difference
     is stable against reordering.
     """
-    joined = fine.join(coarse)
-    return partition_entropy(mu, joined) - partition_entropy(mu, coarse)
+    if mu.mass <= 0.0:
+        raise ValueError("measure must have positive mass")
+    # The joined key's trailing columns are the coarse key: key each atom once.
+    codes = fine.join(coarse).key_matrix(mu.points)
+    w, c = mu.weights, mu.mass
+    return _grouped_entropy(codes, w, c) - _grouped_entropy(codes[:, len(fine.columns) :], w, c)
 
 
 # ---------------------------------------------------------------------------
@@ -267,23 +296,50 @@ def conditional_entropy(mu: DiscreteMeasure, fine: Keying, coarse: Keying) -> fl
 # ---------------------------------------------------------------------------
 
 
-def _axis_tables(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Breakpoint table for one axis of scaled coordinates y = x / r.
+def _breakpoints(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The offset cell rule for scaled coordinates y = x / r.
 
-    Returns (keys, lengths): keys[i, k] is the integer key of atom i on the
-    k-th offset interval, lengths[k] its length.  Interval k starts at the
-    k-th breakpoint; the key of atom i jumps from floor(y_i) to floor(y_i)+1
-    exactly when the offset reaches 1 - frac(y_i).
+    Returns (base, thr) with base = floor(y) and thr = 1 - frac(y) in (0, 1]:
+    under an offset u in [0, 1) the cell of y is base + (u >= thr), so the
+    key of an atom jumps exactly when u reaches its threshold, and a
+    threshold of 1 never fires.
     """
-    base = np.floor(y)
-    if np.any(np.abs(base) >= _CODE_LIMIT):
-        raise ValueError("key magnitude exceeds the int64 range")
-    thr = 1.0 - (y - base)  # in (0, 1]; a threshold of 1 never fires
-    edges = np.unique(thr[thr < 1.0])
-    edges = np.concatenate(([0.0], edges))
-    lengths = np.diff(np.append(edges, 1.0))
-    keys = base[:, None].astype(np.int64) + (edges[None, :] >= thr[:, None]).astype(np.int64)
-    return keys, lengths
+    base = _floor(y)
+    return base, 1.0 - (y - base)
+
+
+def _rows_per_chunk(n: int) -> int:
+    """Offset rows per batch, so a batch holds about 2^21 atom keys."""
+    return max(1, (1 << 21) // max(1, n))
+
+
+def _offset_entropies(
+    base: np.ndarray, thr: np.ndarray, weights: np.ndarray, total: float, offsets: np.ndarray
+) -> np.ndarray:
+    """Entropy in bits of the grid partition at each offset row u of offsets.
+
+    Atom i lies in cell base[i] + (u >= thr[i]).  Cells are packed into one
+    int64 code per atom, mixed-radix with axis 0 fastest; the radices come
+    once from the range of base, which the +1 step can exceed by one.
+    """
+    lo = base.min(axis=0)
+    ranges = [int(v) for v in base.max(axis=0) - lo + 2]
+    if math.prod(ranges) >= _CODE_LIMIT:
+        raise ValueError("combined key range exceeds the int64 range")
+    strides = np.cumprod([1] + ranges[:-1])
+    base_codes = (base - lo).astype(np.int64) @ strides
+    n = base.shape[0]
+    q = offsets.shape[0]
+    values = np.empty(q)
+    chunk = _rows_per_chunk(n)
+    for start in range(0, q, chunk):
+        off = offsets[start : start + chunk]
+        codes = np.empty((off.shape[0], n), dtype=np.int64)
+        codes[:] = base_codes
+        for j, stride in enumerate(strides):
+            codes += (off[:, j, None] >= thr[:, j]) * stride
+        values[start : start + off.shape[0]] = _cell_entropies(codes, weights, total)
+    return values
 
 
 def _cell_entropies(codes: np.ndarray, weights: np.ndarray, total: float) -> np.ndarray:
@@ -316,8 +372,11 @@ def _avg_entropy_exact(
     n, d = points.shape
     if d == 0 or n == 1:
         return 0.0, 1
-    tables = [_axis_tables(points[:, j] / r[j]) for j in range(d)]
-    m = [t[0].shape[1] for t in tables]
+    base, thr = _breakpoints(points / r)
+    # Axis j's offset intervals start at 0 and at every threshold below 1.
+    edges = [np.concatenate(([0.0], np.unique(t[t < 1.0]))) for t in thr.T]
+    lengths = [np.diff(np.append(e, 1.0)) for e in edges]
+    m = [len(e) for e in edges]
     n_cells = math.prod(m)
     if n_cells > cell_budget:
         raise BudgetExceededError(
@@ -325,26 +384,17 @@ def _avg_entropy_exact(
         )
     total = float(weights.sum())
 
-    mins = [int(k.min()) for k, _ in tables]
-    ranges = [int(k.max()) - mn + 1 for (k, _), mn in zip(tables, mins)]
-    strides = [1] * d
-    for j in range(1, d):
-        strides[j] = strides[j - 1] * ranges[j - 1]
-    if math.prod(ranges) >= _CODE_LIMIT:
-        raise ValueError("combined key range exceeds the int64 range")
-
-    chunk = max(1, (1 << 21) // max(1, n))
+    # The integrand is constant on each breakpoint cell, so its left corner
+    # stands for the whole cell.
+    chunk = _rows_per_chunk(n)
     parts = []
     for start in range(0, n_cells, chunk):
-        idx = np.arange(start, min(start + chunk, n_cells))
-        multi = np.unravel_index(idx, m)
-        codes = np.zeros((n, len(idx)), dtype=np.int64)
-        vol = np.ones(len(idx))
-        for j in range(d):
-            keys, lengths = tables[j]
-            codes += (keys[:, multi[j]] - mins[j]) * strides[j]
-            vol *= lengths[multi[j]]
-        h = _cell_entropies(codes.T.copy(), weights, total)
+        multi = np.unravel_index(np.arange(start, min(start + chunk, n_cells)), m)
+        corners = np.column_stack([e[k] for e, k in zip(edges, multi)])
+        vol = np.ones(len(corners))
+        for ln, k in zip(lengths, multi):
+            vol *= ln[k]
+        h = _offset_entropies(base, thr, weights, total, corners)
         parts.append(float(np.dot(vol, h)))
     return math.fsum(parts), n_cells
 
@@ -362,25 +412,10 @@ def _avg_entropy_qmc(
     n, d = points.shape
     if d == 0 or n == 1:
         return 0.0, 0.0
-    total = float(weights.sum())
-    y = points / r
-    q = offsets.shape[0]
-    values = np.empty(q)
-    chunk = max(1, (1 << 21) // max(1, n))
-    for start in range(0, q, chunk):
-        off = offsets[start : start + chunk]
-        keys = np.floor(y[None, :, :] + off[:, None, :]).astype(np.int64)  # (qc, n, d)
-        mins = keys.min(axis=(0, 1))
-        ranges = [int(v) for v in keys.max(axis=(0, 1)) - mins + 1]
-        if math.prod(ranges) >= _CODE_LIMIT:
-            raise ValueError("combined key range exceeds the int64 range")
-        codes = np.zeros(keys.shape[:2], dtype=np.int64)
-        stride = 1
-        for j in range(d):
-            codes += (keys[:, :, j] - mins[j]) * stride
-            stride *= ranges[j]
-        values[start : start + off.shape[0]] = _cell_entropies(codes, weights, total)
+    base, thr = _breakpoints(points / r)
+    values = _offset_entropies(base, thr, weights, float(weights.sum()), offsets)
     value = float(values.mean())
+    q = offsets.shape[0]
     blocks = np.array_split(values, min(8, q))
     bm = np.array([b.mean() for b in blocks])
     err = float(bm.std(ddof=1) / math.sqrt(len(bm))) if len(bm) > 1 else float("nan")

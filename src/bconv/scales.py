@@ -1,4 +1,4 @@
-"""Scale vectors, integer-ratio scale sequences, and cell keys.
+"""Scale vectors, integer-ratio scale sequences, and dyadic partition depths.
 
 A scale vector is an element of the multiplicative group (0, inf)^d acting on
 R^d coordinatewise.  Anisotropic entropy computations happen at vector scales
@@ -32,16 +32,11 @@ __all__ = [
     "s_sequence",
     "validate_contraction_vector",
     "dyadic_levels",
-    "en_key",
-    "grid_key",
     "MAX_DYADIC_LEVEL",
 ]
 
 # Dyadic levels beyond the float64 exponent range cannot be keyed in doubles.
 MAX_DYADIC_LEVEL = 1023
-# Values closer than this to a cell boundary (in key units) get nudged.
-_HAZARD_TOL = 2.0**-45
-_HAZARD_SHIFT = 2.0**-44
 
 
 @dataclass(frozen=True)
@@ -206,7 +201,7 @@ def s_sequence(lam: "ScaleVector | Sequence[float]", n: int) -> SSequence:
 
 
 # ---------------------------------------------------------------------------
-# Cell keys
+# Dyadic partition depths (the cells themselves are keyed in bconv.entropy)
 # ---------------------------------------------------------------------------
 
 
@@ -226,56 +221,3 @@ def dyadic_levels(lam_entries: tuple[float, ...], n: int) -> tuple[int, ...]:
             raise ValueError(f"dyadic level {lvl} out of the float64 exponent range")
         levels.append(lvl)
     return tuple(levels)
-
-
-def _nudged_floor(v: np.ndarray) -> tuple[np.ndarray, int]:
-    """Floor in double precision with a deterministic boundary nudge.
-
-    Values within 2^-45 of an integer are shifted by +2^-44 before flooring,
-    so a point that roundoff left just below a cell edge lands in the cell
-    it would occupy in exact arithmetic.  Returns the floors as float64 and
-    the number of nudged values.
-    """
-    fl = np.floor(v)
-    frac = v - fl
-    near = (frac < _HAZARD_TOL) | (frac > 1.0 - _HAZARD_TOL)
-    hazards = int(np.count_nonzero(near))
-    if hazards:
-        v = v.copy()
-        v[near] += _HAZARD_SHIFT
-        fl = np.floor(v)
-    return fl, hazards
-
-
-def en_key(x: Sequence[float], n: int, lam: "ScaleVector | Sequence[float]") -> tuple[int, ...]:
-    """Cell index of a point in the anisotropic dyadic partition at level n.
-
-    Same floor rule as entropy.en(n, lam).key(x), but the indices are Python
-    integers, so they stay exact beyond the int64 range.
-    """
-    lam = _as_scale(lam)
-    pt = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    if pt.shape != (len(lam),):
-        raise ValueError("point and lambda have mismatched dimensions")
-    scale = np.array([2.0**k for k in dyadic_levels(lam.entries, n)])
-    return tuple(int(f) for f in _nudged_floor(pt * scale)[0])
-
-
-def grid_key(
-    x: Sequence[float],
-    r: "ScaleVector | Sequence[float]",
-    offset: Sequence[float] | None = None,
-) -> tuple[int, ...]:
-    """Cell index of a point in the scale-r grid translated by offset in [0,1)^d."""
-    pt = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    r = _as_scale(r, len(pt))
-    if pt.shape != (len(r),):
-        raise ValueError("point and scale have mismatched dimensions")
-    if offset is None:
-        offset = (0.0,) * len(r)
-    off = np.atleast_1d(np.asarray(offset, dtype=np.float64))
-    if off.shape != pt.shape:
-        raise ValueError("offset dimension mismatch")
-    if np.any(off < 0.0) or np.any(off >= 1.0):
-        raise ValueError("offset entries must lie in [0, 1)")
-    return tuple(int(f) for f in _nudged_floor(pt / r.as_array() + off)[0])

@@ -303,10 +303,12 @@ class TestMinValuePolySearch:
             assert res.poly.coeffs == expected, (n, strategy)
             assert abs(res.value) == 2.0 ** -(n - 1)
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_overflow_refused(self):
-        with pytest.raises(ValueError, match="overflows"):
-            min_value_poly_search(1e200, 4, (-1, 0, 1), strategy="meet-in-middle")
+        # every strategy refuses before any float arithmetic can overflow
+        for xi, n in ((1e200, 4), (-1e300, 5)):
+            for strategy in ("exhaustive", "meet-in-middle", "branch-and-bound"):
+                with pytest.raises(ValueError, match="overflows"):
+                    min_value_poly_search(xi, n, (-1, 0, 1), strategy=strategy)
 
     def test_zero_poly_excluded(self):
         res = min_value_poly_search(0.7, 3, (0, 1))

@@ -295,10 +295,27 @@ class TestExitCodes:
     def test_cell_budget_refusal(self, capsys):
         # r = 1 would degenerate to one offset cell; 0.37 forces three
         code = dispatch(
-            ["avg-entropy", "--measure", str(PAIR_CSV), "--r", "0.37", "--cell-budget", "1"]
+            ["avg-entropy", "--measure", str(PAIR_CSV), "--r", "0.37", "--budget", "1"]
         )
         assert code == 2
         capsys.readouterr()
+
+    def test_cell_budget_flag_is_gone(self, capsys):
+        argv = ["avg-entropy", "--measure", str(PAIR_CSV), "--r", "0.37", "--cell-budget", "1"]
+        assert dispatch(argv) == 1
+        assert "--cell-budget" in capsys.readouterr().err
+
+    def test_key_precision_refusal_is_exit_1(self, capsys):
+        # level 60 scales the atom at 1.0 to 2^60, past the 2^52 key limit
+        argv = ["entropy", "--measure", str(PAIR_CSV), "--lam", "0.5", "--n", "60"]
+        assert dispatch(argv) == 1
+        assert "2^52" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("strategy", ["exhaustive", "meet-in-middle", "branch-and-bound"])
+    def test_search_overflow_is_exit_1(self, strategy, capsys):
+        argv = ["poly-search", "--xi", "1e200", "--n", "4", "--coeffs", "-1,0,1"]
+        assert dispatch([*argv, "--strategy", strategy]) == 1
+        assert "overflows" in capsys.readouterr().err
 
     def test_unknown_command(self, capsys):
         assert dispatch(["frobnicate"]) == 1

@@ -22,6 +22,7 @@ from scipy.optimize import linprog
 from scipy.sparse import coo_matrix, csr_matrix
 from scipy.spatial import cKDTree
 
+from bconv import decompose
 from bconv.decompose import (
     _admissible_pairs,
     _maxflow_pairing,
@@ -328,14 +329,14 @@ class TestWindowDiscipline:
 
 
 class TestGreedyFallback:
-    def test_greedy_reports_gap_and_stays_below_optimum(self):
+    def test_greedy_reports_gap_and_stays_below_optimum(self, monkeypatch):
         rng = np.random.default_rng(99)
         for _ in range(10):
             nu, lam = _random_fixture(rng, 1, 10)
             exact = bernoulli_decompose(nu, lam, n=1, big_n=1, eps=0.05)
-            greedy = bernoulli_decompose(
-                nu, lam, n=1, big_n=1, eps=0.05, greedy_threshold=1
-            )
+            with monkeypatch.context() as m:
+                m.setattr(decompose, "_GREEDY_THRESHOLD", 1)
+                greedy = bernoulli_decompose(nu, lam, n=1, big_n=1, eps=0.05)
             if exact.pairs == () and greedy.pairs == ():
                 continue
             assert greedy.method == "greedy"

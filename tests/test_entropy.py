@@ -1,5 +1,6 @@
 """Partition entropy, conditional entropy, and average entropy quadrature."""
 
+import itertools
 import math
 
 import numpy as np
@@ -85,6 +86,18 @@ class TestKeyings:
         with pytest.raises(ValueError, match="dimension"):
             grid((1.0, 1.0), (0.5,))
 
+    def test_refuses_keys_past_2_pow_52(self):
+        # 0.3 * 2^60 has no fractional bits left to decide its cell
+        with pytest.raises(ValueError, match="2\\^52"):
+            en(60, (0.5,)).key((0.3,))
+        with pytest.raises(ValueError, match="2\\^52"):
+            grid(1.0).key((2.0**52,))
+        with pytest.raises(ValueError, match="2\\^52"):
+            grid(1.0).key((math.nan,))
+        assert grid(1.0).key((2.0**52 - 1,)) == (2**52 - 1,)
+        with pytest.raises(ValueError, match="2\\^52"):
+            partition_entropy(_uniform([(0.0,), (0.3,)]), en(60, (0.5,)))
+
     def test_boundary_hazard_warns_and_nudges(self):
         mu = _uniform([(0.5,), (0.123,)])
         with pytest.warns(BoundaryHazardWarning):
@@ -153,6 +166,37 @@ class TestAvgEntropy:
         mu = _uniform([tuple(p) for p in rng.uniform(0, 1, (40, 2))])
         with pytest.raises(BudgetExceededError):
             avg_entropy(mu, 0.3, QuadratureSpec(cell_budget=100))
+
+    @pytest.mark.parametrize("mode", ["exact", "qmc"])
+    def test_refuses_scales_past_2_pow_52(self, mode):
+        mu = _uniform([(0.0,), (0.3,)])
+        with pytest.raises(ValueError, match="2\\^52"):
+            avg_entropy(mu, 2.0**-60, QuadratureSpec(mode=mode, offsets=16))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_exact_equals_midpoint_sum_over_breakpoint_cells(self, d):
+        # Oracle: on each product cell of per-axis breakpoints the offset
+        # partition is constant, so the average is sum(vol * H(mu, grid(r, mid))).
+        rng = np.random.default_rng(40 + d)
+        n = {1: 40, 2: 12, 3: 6}[d]
+        pts = rng.uniform(-1, 2, (n, d))
+        w = rng.uniform(0.1, 1.0, n)
+        mu = from_atoms((tuple(p), float(v)) for p, v in zip(pts, w / w.sum()))
+        r = rng.uniform(0.2, 0.7, d)
+        axes = []
+        for j in range(d):
+            y = mu.points[:, j] / r[j]
+            thr = 1.0 - (y - np.floor(y))
+            edges = np.unique(np.concatenate(([0.0, 1.0], thr[thr < 1.0])))
+            axes.append(list(zip((edges[:-1] + edges[1:]) / 2, np.diff(edges))))
+        expected = 0.0
+        for cell in itertools.product(*axes):
+            mid = tuple(m for m, _ in cell)
+            vol = math.prod(v for _, v in cell)
+            expected += vol * partition_entropy(mu, grid(tuple(r), mid))
+        rep = avg_entropy(mu, tuple(r))
+        assert rep.offsets_used == math.prod(len(a) for a in axes)
+        assert rep.value == pytest.approx(expected, abs=1e-12)
 
     def test_qmc_matches_exact(self):
         rng = np.random.default_rng(4)
