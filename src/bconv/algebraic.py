@@ -291,52 +291,91 @@ def reduce_mod_minpoly(
     return tuple(rem)
 
 
-def _shift_reduce(vec: tuple[Fraction, ...], minpoly: IntPolynomial) -> tuple[Fraction, ...]:
-    """Reduced vector of x * v(x) given the reduced vector of v(x)."""
-    m = minpoly.degree
-    lead = minpoly.leading
-    top = vec[m - 1]
-    out = [Fraction(0)] + list(vec[: m - 1])
-    if top:
-        for i in range(m):
-            out[i] -= top * Fraction(minpoly.coeffs[i], lead)
-    return tuple(out)
+_STATE_LIMIT = 1 << 62  # int64 word-state entries must stay below this
 
 
-def _reduced_power_table(minpoly: IntPolynomial, count: int) -> list[tuple[Fraction, ...]]:
-    """Reduced vectors of x^0, ..., x^{count-1} modulo minpoly."""
-    m = minpoly.degree
-    one = tuple([Fraction(1)] + [Fraction(0)] * (m - 1))
-    table = [one]
+def _scaled_power_table(minpoly: IntPolynomial, count: int) -> list[list[int]]:
+    """T[k] = lead^k * (reduced vector of x^k mod minpoly) for k < count.
+
+    T[k+1] = lead * shift(T[k]) - top * coeffs[:m], with top the last entry
+    of T[k]; every entry is an integer even when the minpoly is not monic.
+    """
+    m, lead, cs = minpoly.degree, minpoly.leading, minpoly.coeffs
+    row = [1] + [0] * (m - 1)
+    table = [row]
     for _ in range(1, count):
-        table.append(_shift_reduce(table[-1], minpoly))
+        top = row[-1]
+        row = [lead * s - top * c for s, c in zip([0] + row[:-1], cs)]
+        table.append(row)
     return table
 
 
-def _word_states(spec: "SystemSpec", n: int) -> Iterator[dict]:
-    """Exact word states at depths 1..n: {reduced per-axis vector: probability}.
+def _group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group the equal rows of an int64 matrix, numbered by first occurrence.
 
-    A state is the tuple of axis-j reduced vectors of a word's translation
-    polynomial; two words share a map iff their states are equal, so the
-    dict at depth k has one entry per distinct length-k map and carries the
-    summed word probability.  Each depth extends the previous one over its
-    states, then the maps in spec order, which fixes the float summation
-    order of every weight.
+    Returns (ids, first): ids[i] is the group of row i and first[g] the
+    index of group g's first row, so first is increasing.  Each column is
+    dense-ranked and folded into the running code, which is then re-ranked;
+    a folded code is below rows^2, so it never wraps while rows < 2^31.
     """
-    tables = [_reduced_power_table(p, n) for p in spec.minpolys]
-    states: dict = {tuple(tuple([Fraction(0)] * p.degree) for p in spec.minpolys): 1.0}
+    code = np.zeros(len(rows), dtype=np.int64)
+    for col in rows.T:
+        uniq, rank = np.unique(col, return_inverse=True)
+        _, first, code = np.unique(code * len(uniq) + rank, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    relabel = np.empty_like(order)
+    relabel[order] = np.arange(len(order))
+    return relabel[code], first[order]
+
+
+def _word_states(spec: "SystemSpec", n: int, budget: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Exact word states at depths 1..n as (rows, weights) pairs.
+
+    A state is one int64 row: the axis-j reduced vector of a word's
+    translation polynomial, times lead_j^(depth-1), for each axis side by
+    side.  Two words share a map iff their rows are equal, so depth k has
+    one row per distinct length-k map, weighted by its summed word
+    probability.  Each depth extends the previous states, then the maps in
+    spec order (child = lead * S + a * T[depth]).  Groups are numbered by
+    first occurrence in that child order, and np.bincount adds each group's
+    terms in input order, the order a dict accumulating w * p per child
+    would use; so the rows come out in that dict's insertion order and
+    every weight is the same float sum.
+
+    int64 arithmetic wraps silently, so a bound on every intermediate entry
+    is computed in Python integers before anything is enumerated; the call
+    is refused when it reaches 2^62, or when a depth would build more than
+    `budget` child rows.
+    """
+    degrees = [p.degree for p in spec.minpolys]
+    tables = [_scaled_power_table(p, n) for p in spec.minpolys]
+    for j, (p, table) in enumerate(zip(spec.minpolys, tables)):
+        digit = max(abs(row[j]) for row in spec.translations)
+        bound = 0
+        for t in table:
+            bound = max(p.leading * bound + digit * max(map(abs, t)), *map(abs, t))
+        if bound >= _STATE_LIMIT:
+            raise BudgetExceededError(
+                f"axis {j + 1} word states at depth {n} may reach {bound}, past the int64 limit 2^62"
+            )
+    lead = np.repeat([p.leading for p in spec.minpolys], degrees).astype(np.int64)
+    powers = np.array([sum((t[k] for t in tables), []) for k in range(n)], dtype=np.int64)
+    digits = np.repeat(np.asarray(spec.translations, dtype=np.int64), degrees, axis=1)
+    probs = np.asarray(spec.probs)
+    rows = np.zeros((1, sum(degrees)), dtype=np.int64)
+    weights = np.ones(1)
     for depth in range(n):
-        pw = [t[depth] for t in tables]
-        nxt: dict = {}
-        for state, w in states.items():
-            for a, p in zip(spec.translations, spec.probs):
-                child = tuple(
-                    tuple(s + aj * q for s, q in zip(sj, pj))
-                    for sj, aj, pj in zip(state, a, pw)
-                )
-                nxt[child] = nxt.get(child, 0.0) + w * p
-        states = nxt
-        yield states
+        count = spec.n_maps * len(rows)
+        if count > budget:
+            raise BudgetExceededError(
+                f"depth {depth + 1} builds {count} word-state rows, budget is {budget}"
+            )
+        child = ((lead * rows)[:, None, :] + (digits * powers[depth])[None, :, :]).reshape(count, -1)
+        ids, first = _group_rows(child)
+        rows = child[first]
+        terms = (weights[:, None] * probs[None, :]).ravel()
+        weights = np.bincount(ids, weights=terms, minlength=len(first))
+        yield rows, weights
 
 
 # ---------------------------------------------------------------------------
@@ -805,13 +844,14 @@ def exact_overlap_depth(spec: "SystemSpec", n_max: int, budget: int = 1 << 24) -
         )
     per_axis: list[int | None] = [None] * spec.dim
     joint: int | None = None
-    for depth, states in enumerate(_word_states(spec, n_max), start=1):
+    edges = np.cumsum([0] + [p.degree for p in spec.minpolys])
+    for depth, (rows, _) in enumerate(_word_states(spec, n_max, budget), start=1):
         # The axis-j values of all words are the projection of the joint states.
         expected = k**depth
         for j in range(spec.dim):
-            if per_axis[j] is None and len({s[j] for s in states}) < expected:
+            if per_axis[j] is None and len(_group_rows(rows[:, edges[j] : edges[j + 1]])[1]) < expected:
                 per_axis[j] = depth
-        if joint is None and len(states) < expected:
+        if joint is None and len(rows) < expected:
             joint = depth
         if joint is not None and all(v is not None for v in per_axis):
             break

@@ -252,8 +252,6 @@ class KappaReport:
     n: int
     entropy_bits: float
     kappa: float
-    kappa_refined: float  # same estimate at depth n + 5
-    refined_n: int
 
 
 def kappa_estimate(
@@ -263,8 +261,7 @@ def kappa_estimate(
 ) -> KappaReport:
     """Normalized level-n partition entropy (1/n) H(mu^(n), E_n).
 
-    The depth-(n+5) value is reported alongside as a stability check.  At
-    n = 1 the estimate degenerates to about H(p) and a warning is issued.
+    At n = 1 the estimate degenerates to about H(p) and a warning is issued.
     """
     if n < 1:
         raise ValueError("kappa estimate needs n >= 1")
@@ -274,18 +271,9 @@ def kappa_estimate(
             UserWarning,
             stacklevel=2,
         )
-
-    def one(depth: int) -> float:
-        mu = build_level_n(spec, depth, budget)
-        return ent.partition_entropy(mu, ent.en(depth, spec.lam))
-
-    h = one(n)
-    refined_n = n + 5
-    try:
-        h_ref = one(refined_n) / refined_n
-    except BudgetExceededError:
-        h_ref = float("nan")
-    return KappaReport(n, h, h / n, h_ref, refined_n)
+    mu = build_level_n(spec, n, budget)
+    h = ent.partition_entropy(mu, ent.en(n, spec.lam))
+    return KappaReport(n, h, h / n)
 
 
 def dim_from_kappa(kappa: float, spec: SystemSpec) -> float:
@@ -321,7 +309,9 @@ def rw_entropy_upper(spec: SystemSpec, n: int, arithmetic: str = "auto") -> Rand
     Exact arithmetic identifies words by reduced translation vectors modulo
     the axis minimal polynomials.  Float arithmetic merges only bit-identical
     translation values, so its outcome is reported as "no collision
-    detected", never as a proof of no exact overlap.
+    detected", never as a proof of no exact overlap.  The exact route raises
+    BudgetExceededError when a word-state entry could reach 2^62 or a depth
+    would build more than the default atom budget of child rows.
     """
     if n < 1:
         raise ValueError("word length must be >= 1")
@@ -333,9 +323,9 @@ def rw_entropy_upper(spec: SystemSpec, n: int, arithmetic: str = "auto") -> Rand
     if arithmetic == "exact":
         if spec.minpolys is None:
             raise ValueError("exact arithmetic needs minimal polynomials")
-        for states in _word_states(spec, n):
+        for _, weights in _word_states(spec, n, _DEFAULT_ATOM_BUDGET):
             pass  # only the depth-n states are needed
-        weights = np.array(sorted(states.values()))
+        weights = np.sort(weights)
     else:
         mu = build_level_n(spec, n)
         weights = np.sort(mu.weights)

@@ -10,6 +10,7 @@ import pytest
 
 from bconv.algebraic import (
     _top_candidates,
+    _word_states,
     AlgebraicNumber,
     approximate_parameters,
     count_roots_in_disk,
@@ -496,6 +497,11 @@ class TestExactOverlapDepth:
         s = SystemSpec((GOLDEN,), ((1,), (-1,)), (0.5, 0.5), ((-1, 1, 1),))
         with pytest.raises(BudgetExceededError):
             exact_overlap_depth(s, 40, budget=1000)
+        # depth 8 of 1000x - 1 could carry word-state entries past 2^62
+        wide = SystemSpec((0.001,), ((0,), (1,)), (0.5, 0.5), ((-1, 1000),))
+        assert exact_overlap_depth(wide, 7) == OverlapReport((None,), None, 7)
+        with pytest.raises(BudgetExceededError, match="2\\^62"):
+            exact_overlap_depth(wide, 8)
         with pytest.raises(ValueError, match="n_max"):
             exact_overlap_depth(s, 0)
 
@@ -523,20 +529,57 @@ def _brute_force_states(spec, n):
     return out
 
 
+def _shift_reduce(vec, minpoly):
+    """Reduced vector of x * v(x) given the reduced vector of v(x)."""
+    m = minpoly.degree
+    top = vec[m - 1]
+    out = [Fraction(0)] + list(vec[: m - 1])
+    if top:
+        for i in range(m):
+            out[i] -= top * Fraction(minpoly.coeffs[i], minpoly.leading)
+    return tuple(out)
+
+
+def _reduced_power_table(minpoly, count):
+    """Reduced vectors of x^0, ..., x^{count-1} modulo minpoly."""
+    table = [tuple([Fraction(1)] + [Fraction(0)] * (minpoly.degree - 1))]
+    for _ in range(1, count):
+        table.append(_shift_reduce(table[-1], minpoly))
+    return table
+
+
+def _fraction_word_states(spec, n):
+    """Depth-by-depth {tuple of per-axis Fraction vectors: probability},
+    accumulated per child in a dict over states, then maps in spec order."""
+    tables = [_reduced_power_table(p, n) for p in spec.minpolys]
+    states = {tuple(tuple([Fraction(0)] * p.degree) for p in spec.minpolys): 1.0}
+    for depth in range(n):
+        pw = [t[depth] for t in tables]
+        nxt = {}
+        for state, w in states.items():
+            for a, p in zip(spec.translations, spec.probs):
+                child = tuple(
+                    tuple(s + aj * q for s, q in zip(sj, pj)) for sj, aj, pj in zip(state, a, pw)
+                )
+                nxt[child] = nxt.get(child, 0.0) + w * p
+        states = nxt
+        yield states
+
+
+_WORD_STATE_FIXTURES = [
+    ((GOLDEN,), ((-1, 1, 1),), 3, 1, 6, ((3,), 3)),
+    ((1 / 3,), ((-1, 3),), 3, 1, 6, ((2,), 2)),
+    ((0.75,), ((-3, 4),), 4, 2, 5, ((2,), 2)),
+    ((0.75, 1 / 3), ((-3, 4), (-1, 3)), 4, 10, 4, ((3, 1), 3)),
+    # axis 1 collides at depth 3, axis 2 and the joint maps never do
+    ((GOLDEN, 1 / 3), ((-1, 1, 1), (-1, 3)), 2, 3, 7, ((3, None), None)),
+]
+
+
 class TestWordStatesOracle:
     """The word-state kernel against brute-force exact enumeration."""
 
-    @pytest.mark.parametrize(
-        "lam, minpolys, k, seed, n_max, expected",
-        [
-            ((GOLDEN,), ((-1, 1, 1),), 3, 1, 6, ((3,), 3)),
-            ((1 / 3,), ((-1, 3),), 3, 1, 6, ((2,), 2)),
-            ((0.75,), ((-3, 4),), 4, 2, 5, ((2,), 2)),
-            ((0.75, 1 / 3), ((-3, 4), (-1, 3)), 4, 10, 4, ((3, 1), 3)),
-            # axis 1 collides at depth 3, axis 2 and the joint maps never do
-            ((GOLDEN, 1 / 3), ((-1, 1, 1), (-1, 3)), 2, 3, 7, ((3, None), None)),
-        ],
-    )
+    @pytest.mark.parametrize("lam, minpolys, k, seed, n_max, expected", _WORD_STATE_FIXTURES)
     def test_matches_brute_force(self, lam, minpolys, k, seed, n_max, expected):
         spec = _seeded_system(lam, minpolys, k, seed)
         per_axis = [None] * spec.dim
@@ -554,3 +597,45 @@ class TestWordStatesOracle:
             assert abs(rep.value - h / n) <= 1e-12
         assert (tuple(per_axis), joint) == expected
         assert exact_overlap_depth(spec, n_max) == OverlapReport(tuple(per_axis), joint, n_max)
+
+
+def _oracle_specs():
+    pm1 = ((1,), (-1,))
+    tri2d = SystemSpec(
+        (GOLDEN, 0.3819660112501051),
+        ((0, 0), (1, 0), (0, 1)),
+        (1 / 3, 1 / 3, 1 / 3),
+        ((-1, 1, 1), (1, -3, 1)),
+    )
+    out = [
+        pytest.param(SystemSpec((GOLDEN,), pm1, (0.5, 0.5), ((-1, 1, 1),)), 19, id="golden"),
+        pytest.param(SystemSpec((1 / 3,), pm1, (0.5, 0.5), ((-1, 3),)), 14, id="third"),
+        pytest.param(tri2d, 9, id="tri2d"),
+    ]
+    for i, (lam, minpolys, k, seed, n_max, _) in enumerate(_WORD_STATE_FIXTURES):
+        out.append(pytest.param(_seeded_system(lam, minpolys, k, seed), n_max, id=f"fixture{i}"))
+    return out
+
+
+class TestIntegerWordStates:
+    """The int64 kernel against the Fraction dict kernel, depth by depth:
+    rows divided by lead^(depth-1) are the Fraction states in the dict's
+    insertion order, and the weights are the same floats."""
+
+    @pytest.mark.parametrize("spec, n", _oracle_specs())
+    def test_bit_identical_to_fraction_kernel(self, spec, n):
+        leads = [p.leading for p in spec.minpolys]
+        edges = np.cumsum([0] + [p.degree for p in spec.minpolys])
+        got = _word_states(spec, n, 1 << 24)
+        for depth, ((rows, weights), states) in enumerate(zip(got, _fraction_word_states(spec, n)), 1):
+            assert rows.dtype == np.int64 and len(rows) == len(weights) == len(states)
+            scaled = [
+                tuple(
+                    tuple(Fraction(x, lead ** (depth - 1)) for x in row[lo:hi])
+                    for lead, lo, hi in zip(leads, edges[:-1], edges[1:])
+                )
+                for row in rows.tolist()
+            ]
+            assert scaled == list(states), depth
+            assert weights.tolist() == list(states.values()), depth
+        assert depth == n

@@ -3,6 +3,7 @@ exit codes, output formats, and byte-identical reruns."""
 
 import json
 import subprocess
+import time
 from pathlib import Path
 
 import pytest
@@ -268,6 +269,13 @@ class TestExitCodes:
         argv = ["poly-search", "--xi", "0.7", "--n", "12", "--coeffs", "-1,0,1"]
         assert dispatch([*argv, "--strategy", "exhaustive", "--budget", "0"]) == 2
         assert "budget refused" in capsys.readouterr().err
+
+    def test_rw_state_bound_refusal_is_exit_2(self, capsys):
+        # 2^40 exact word states: refused by the int64 bound before any work
+        start = time.perf_counter()
+        assert dispatch(["rw-entropy", "--spec", str(THIRD_SPEC), "--n", "40"]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "2^62" in capsys.readouterr().err
 
     def test_dim_forwards_budget(self, capsys):
         assert dispatch(["dim", "--spec", str(THIRD_SPEC), "--n", "6", "--budget", "10"]) == 2

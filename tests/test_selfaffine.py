@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from bconv import selfaffine
 from bconv.algebraic import _word_states
 from bconv.errors import BudgetExceededError
 from bconv.measures import convolve, from_atoms, pushforward, ScaleBy
@@ -122,9 +123,9 @@ class TestBuildLevelN:
         # words (1,-1,-1) and (-1,1,1) land on the same point; their float
         # images differ by ~1e-16, so only the exact word states merge them
         assert build_level_n(golden_spec(), 3).n_atoms == 8
-        states = list(_word_states(golden_spec(), 3))[-1]
-        assert len(states) == 7
-        assert max(states.values()) == 0.25  # 1/8 + 1/8 merged
+        rows, weights = list(_word_states(golden_spec(), 3, 1 << 24))[-1]
+        assert len(rows) == len(weights) == 7
+        assert weights.max() == 0.25  # 1/8 + 1/8 merged
 
     def test_no_overlap_gives_full_tree(self):
         s = SystemSpec((0.5,), ((1,), (0,)), HALF)
@@ -215,8 +216,7 @@ class TestKappa:
         rep = kappa_estimate(third_spec(), 8)
         assert rep.kappa == pytest.approx(1.0, abs=1e-12)
         assert rep.entropy_bits == pytest.approx(8.0, abs=1e-12)
-        assert rep.kappa_refined == pytest.approx(1.0, abs=1e-12)
-        assert rep.refined_n == 13
+        assert kappa_estimate(third_spec(), 13).kappa == pytest.approx(1.0, abs=1e-12)
 
     def test_dim_from_kappa_third(self):
         rep = kappa_estimate(third_spec(), 10)
@@ -228,10 +228,10 @@ class TestKappa:
         with pytest.warns(UserWarning, match="digit distribution"):
             kappa_estimate(third_spec(), 1)
 
-    def test_refined_nan_when_budget_blocks(self):
-        rep = kappa_estimate(third_spec(), 9, budget=600)
-        assert math.isnan(rep.kappa_refined)
-        assert rep.kappa == pytest.approx(1.0, abs=1e-12)
+    def test_budget_blocks_deep_levels(self):
+        with pytest.raises(BudgetExceededError, match="budget"):
+            kappa_estimate(third_spec(), 14, budget=600)
+        assert kappa_estimate(third_spec(), 9, budget=600).kappa == pytest.approx(1.0, abs=1e-12)
 
     def test_n0_rejected(self):
         with pytest.raises(ValueError, match="n >= 1"):
@@ -291,6 +291,24 @@ class TestRandomWalkEntropy:
             rw_entropy_upper(golden_spec(), 0)
         with pytest.raises(ValueError, match="arithmetic"):
             rw_entropy_upper(golden_spec(), 3, "symbolic")
+
+    def test_row_budget_refusal(self, monkeypatch):
+        # golden depths 1..6 build 2, 4, 8, 14, 24, 40 child rows
+        monkeypatch.setattr(selfaffine, "_DEFAULT_ATOM_BUDGET", 40)
+        assert rw_entropy_upper(golden_spec(), 6, "exact").distinct_maps == 33
+        monkeypatch.setattr(selfaffine, "_DEFAULT_ATOM_BUDGET", 39)
+        with pytest.raises(BudgetExceededError, match="depth 6 builds 40 word-state rows"):
+            rw_entropy_upper(golden_spec(), 6, "exact")
+
+    def test_int64_bound_refusal_non_monic(self):
+        # 1000x - 1 scales depth n by 1000^(n-1); digits {0, 1} bound the
+        # entries by (1000^n - 1) / 999, under 2^62 at n = 7, past it at n = 8
+        s = SystemSpec((0.001,), ((0,), (1,)), HALF, ((-1, 1000),))
+        assert (1000**7 - 1) // 999 < 2**62 <= (1000**8 - 1) // 999
+        rep = rw_entropy_upper(s, 7, "exact")
+        assert rep.distinct_maps == 2**7 and rep.value == 1.0
+        with pytest.raises(BudgetExceededError, match="2\\^62"):
+            rw_entropy_upper(s, 8, "exact")
 
     def test_no_overlap_value_is_prob_entropy(self):
         s = SystemSpec((0.5,), ((1,), (0,)), (0.75, 0.25))
