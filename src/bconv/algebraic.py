@@ -317,6 +317,8 @@ def _group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     index of group g's first row, so first is increasing.  Each column is
     dense-ranked and folded into the running code, which is then re-ranked;
     a folded code is below rows^2, so it never wraps while rows < 2^31.
+    np.unique(rows, axis=0) gives the same grouping but sorts the rows as
+    opaque byte strings, about 4x slower on the golden and tri2d depths.
     """
     code = np.zeros(len(rows), dtype=np.int64)
     for col in rows.T:
@@ -343,9 +345,10 @@ def _word_states(spec: "SystemSpec", n: int, budget: int) -> Iterator[tuple[np.n
     every weight is the same float sum.
 
     int64 arithmetic wraps silently, so a bound on every intermediate entry
-    is computed in Python integers before anything is enumerated; the call
-    is refused when it reaches 2^62, or when a depth would build more than
-    `budget` child rows.
+    is computed in Python integers before anything is enumerated, growing
+    by |lead| per depth since a minpoly may have a negative leading
+    coefficient; the call is refused when the bound reaches 2^62, or when a
+    depth would build more than `budget` child rows.
     """
     degrees = [p.degree for p in spec.minpolys]
     tables = [_scaled_power_table(p, n) for p in spec.minpolys]
@@ -353,7 +356,7 @@ def _word_states(spec: "SystemSpec", n: int, budget: int) -> Iterator[tuple[np.n
         digit = max(abs(row[j]) for row in spec.translations)
         bound = 0
         for t in table:
-            bound = max(p.leading * bound + digit * max(map(abs, t)), *map(abs, t))
+            bound = max(abs(p.leading) * bound + digit * max(map(abs, t)), *map(abs, t))
         if bound >= _STATE_LIMIT:
             raise BudgetExceededError(
                 f"axis {j + 1} word states at depth {n} may reach {bound}, past the int64 limit 2^62"

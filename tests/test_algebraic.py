@@ -573,6 +573,8 @@ _WORD_STATE_FIXTURES = [
     ((0.75, 1 / 3), ((-3, 4), (-1, 3)), 4, 10, 4, ((3, 1), 3)),
     # axis 1 collides at depth 3, axis 2 and the joint maps never do
     ((GOLDEN, 1 / 3), ((-1, 1, 1), (-1, 3)), 2, 3, 7, ((3, None), None)),
+    # negative leading coefficients: 3 - 4x and 1 - 3x
+    ((0.75, 1 / 3), ((3, -4), (1, -3)), 4, 10, 4, ((3, 1), 3)),
 ]
 
 
@@ -611,6 +613,7 @@ def _oracle_specs():
         pytest.param(SystemSpec((GOLDEN,), pm1, (0.5, 0.5), ((-1, 1, 1),)), 19, id="golden"),
         pytest.param(SystemSpec((1 / 3,), pm1, (0.5, 0.5), ((-1, 3),)), 14, id="third"),
         pytest.param(tri2d, 9, id="tri2d"),
+        pytest.param(SystemSpec((0.001,), ((0,), (1,)), (0.5, 0.5), ((1, -1000),)), 7, id="lead-1000"),
     ]
     for i, (lam, minpolys, k, seed, n_max, _) in enumerate(_WORD_STATE_FIXTURES):
         out.append(pytest.param(_seeded_system(lam, minpolys, k, seed), n_max, id=f"fixture{i}"))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from bconv import selfaffine
-from bconv.algebraic import _word_states
+from bconv.algebraic import _word_states, exact_overlap_depth
 from bconv.errors import BudgetExceededError
 from bconv.measures import convolve, from_atoms, pushforward, ScaleBy
 from bconv.scales import ScaleVector
@@ -309,6 +309,20 @@ class TestRandomWalkEntropy:
         assert rep.distinct_maps == 2**7 and rep.value == 1.0
         with pytest.raises(BudgetExceededError, match="2\\^62"):
             rw_entropy_upper(s, 8, "exact")
+
+    def test_int64_bound_refusal_negative_leading(self):
+        # 1 - 1000x has the root of 1000x - 1 and leading coefficient -1000:
+        # the bound grows by |lead|, so the refusal depth is the same.  A
+        # signed bound would pass n = 23, where 1000^22 is a multiple of 2^64
+        # and words differing only in their first digit wrap to one row.
+        s = SystemSpec((0.001,), ((0,), (1,)), HALF, ((1, -1000),))
+        rep = rw_entropy_upper(s, 7, "exact")
+        assert rep.distinct_maps == 2**7 and rep.value == 1.0
+        for n in (8, 23):
+            with pytest.raises(BudgetExceededError, match="2\\^62"):
+                rw_entropy_upper(s, n, "exact")
+        with pytest.raises(BudgetExceededError, match="2\\^62"):
+            exact_overlap_depth(s, 23)
 
     def test_no_overlap_value_is_prob_entropy(self):
         s = SystemSpec((0.5,), ((1,), (0,)), (0.75, 0.25))
