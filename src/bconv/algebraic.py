@@ -294,20 +294,18 @@ def reduce_mod_minpoly(
 _STATE_LIMIT = 1 << 62  # int64 word-state entries must stay below this
 
 
-def _scaled_power_table(minpoly: IntPolynomial, count: int) -> list[list[int]]:
-    """T[k] = lead^k * (reduced vector of x^k mod minpoly) for k < count.
+def _scaled_powers(minpoly: IntPolynomial) -> Iterator[list[int]]:
+    """T[k] = lead^k * (reduced vector of x^k mod minpoly) for k = 0, 1, ...
 
     T[k+1] = lead * shift(T[k]) - top * coeffs[:m], with top the last entry
     of T[k]; every entry is an integer even when the minpoly is not monic.
     """
     m, lead, cs = minpoly.degree, minpoly.leading, minpoly.coeffs
     row = [1] + [0] * (m - 1)
-    table = [row]
-    for _ in range(1, count):
+    while True:
+        yield row
         top = row[-1]
         row = [lead * s - top * c for s, c in zip([0] + row[:-1], cs)]
-        table.append(row)
-    return table
 
 
 def _group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -345,24 +343,28 @@ def _word_states(spec: "SystemSpec", n: int, budget: int) -> Iterator[tuple[np.n
     every weight is the same float sum.
 
     int64 arithmetic wraps silently, so a bound on every intermediate entry
-    is computed in Python integers before anything is enumerated, growing
-    by |lead| per depth since a minpoly may have a negative leading
-    coefficient; the call is refused when the bound reaches 2^62, or when a
+    is kept in Python integers while the power table is built one depth at
+    a time; it grows by |lead| per depth, since a minpoly may have a
+    negative leading coefficient.  The call is refused at the first depth
+    whose bound reaches 2^62, before any state is enumerated, or when a
     depth would build more than `budget` child rows.
     """
     degrees = [p.degree for p in spec.minpolys]
-    tables = [_scaled_power_table(p, n) for p in spec.minpolys]
-    for j, (p, table) in enumerate(zip(spec.minpolys, tables)):
-        digit = max(abs(row[j]) for row in spec.translations)
-        bound = 0
-        for t in table:
-            bound = max(abs(p.leading) * bound + digit * max(map(abs, t)), *map(abs, t))
-        if bound >= _STATE_LIMIT:
-            raise BudgetExceededError(
-                f"axis {j + 1} word states at depth {n} may reach {bound}, past the int64 limit 2^62"
-            )
+    digit = [max(abs(row[j]) for row in spec.translations) for j in range(spec.dim)]
+    bound = [0] * spec.dim
+    table = []
+    for depth, ts in zip(range(1, n + 1), zip(*map(_scaled_powers, spec.minpolys))):
+        for j, (p, t) in enumerate(zip(spec.minpolys, ts)):
+            top = max(map(abs, t))
+            bound[j] = max(abs(p.leading) * bound[j] + digit[j] * top, top)
+            if bound[j] >= _STATE_LIMIT:
+                raise BudgetExceededError(
+                    f"axis {j + 1} word states at depth {depth} may reach {bound[j]}, "
+                    "past the int64 limit 2^62"
+                )
+        table.append(sum(ts, []))
     lead = np.repeat([p.leading for p in spec.minpolys], degrees).astype(np.int64)
-    powers = np.array([sum((t[k] for t in tables), []) for k in range(n)], dtype=np.int64)
+    powers = np.array(table, dtype=np.int64)
     digits = np.repeat(np.asarray(spec.translations, dtype=np.int64), degrees, axis=1)
     probs = np.asarray(spec.probs)
     rows = np.zeros((1, sum(degrees)), dtype=np.int64)
@@ -841,10 +843,6 @@ def exact_overlap_depth(spec: "SystemSpec", n_max: int, budget: int = 1 << 24) -
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     k = spec.n_maps
-    if k**n_max > budget:
-        raise BudgetExceededError(
-            f"overlap scan needs {k**n_max} words at depth {n_max}, budget is {budget}"
-        )
     per_axis: list[int | None] = [None] * spec.dim
     joint: int | None = None
     edges = np.cumsum([0] + [p.degree for p in spec.minpolys])

@@ -197,12 +197,12 @@ def _cmd_rw_entropy(args) -> dict:
     spec = load_system_spec(args.spec)
     rows = []
     for n in _parse_range(args.n):
-        rep = sa.rw_entropy_upper(spec, n, args.arithmetic)
+        rep = sa.rw_entropy_upper(spec, n)
         rows.append(
             {
                 "n": n,
                 "value": rep.value,
-                "arithmetic": rep.arithmetic,
+                "arithmetic": "exact",
                 "distinct_maps": rep.distinct_maps,
                 "collision_note": (
                     "collision detected" if rep.collisions_detected else "no collision detected"
@@ -384,7 +384,7 @@ def _cmd_approx(args) -> dict:
             spec.probs,
             tuple(a.eta.minpoly for a in rep.axes),
         )
-        payload["rw_entropy_upper"] = sa.rw_entropy_upper(eta_spec, args.rw_n, "exact").value
+        payload["rw_entropy_upper"] = sa.rw_entropy_upper(eta_spec, args.rw_n).value
         payload["rw_n"] = args.rw_n
     return payload
 
@@ -434,7 +434,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rw-entropy", help="random-walk entropy upper bounds")
     common(p, spec=True, n="word length or range A..B")
-    p.add_argument("--arithmetic", choices=("exact", "float", "auto"), default="auto")
     p.set_defaults(handler=_cmd_rw_entropy)
 
     p = sub.add_parser("overlap", help="first exact word coincidence depth")

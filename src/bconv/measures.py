@@ -253,12 +253,10 @@ def bernoulli_power(x, y, k: int) -> DiscreteMeasure:
     Computed directly from the binomial law on the segment between the two
     endpoints: atoms k*x + i*(y - x) with weights C(k, i) / 2^k.  Repeated
     pairwise convolution would square the intermediate atom counts and leak
-    roundoff into the atom positions, so it is never used here.  Weights are
-    dyadic rationals, so each is converted from an exact integer ratio and
-    carries only the final rounding error.
+    roundoff into the atom positions, so it is never used here.  Each weight
+    is one int / int division, which Python rounds correctly, so it carries
+    only the final rounding error.
     """
-    from fractions import Fraction
-
     if k < 1:
         raise ValueError("power k must be >= 1")
     xp = _as_point_array(x)
@@ -273,7 +271,7 @@ def bernoulli_power(x, y, k: int) -> DiscreteMeasure:
     wts = np.empty(k + 1)
     c = 1
     for m in range(k + 1):
-        wts[m] = float(Fraction(c, denom))
+        wts[m] = c / denom
         c = c * (k - m) // (m + 1)
     return DiscreteMeasure(pts, wts)
 
@@ -294,27 +292,25 @@ def write_atoms_csv(mu: DiscreteMeasure, path) -> None:
 
 def read_atoms_csv(path) -> DiscreteMeasure:
     """Read a measure from CSV with header x1,...,xd,w."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError("empty atom file") from None
-        header = [h.strip() for h in header]
-        if len(header) < 2 or header[-1] != "w":
-            raise ValueError("atom CSV header must be x1,...,xd,w")
-        d = len(header) - 1
-        if header[:-1] != [f"x{j + 1}" for j in range(d)]:
-            raise ValueError("atom CSV header must be x1,...,xd,w")
-        pts = []
-        wts = []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != d + 1:
-                raise ValueError(f"atom row has {len(row)} fields, expected {d + 1}")
-            pts.append([float(v) for v in row[:-1]])
-            wts.append(float(row[-1]))
-    if not pts:
+    with open(path) as fh:
+        first = fh.readline()
+        has_rows = any(line.strip() for line in fh)  # stops at the first row
+    if not first:
+        raise ValueError("empty atom file")
+    header = [h.strip() for h in next(csv.reader([first]))]
+    if len(header) < 2 or header[-1] != "w":
+        raise ValueError("atom CSV header must be x1,...,xd,w")
+    d = len(header) - 1
+    if header[:-1] != [f"x{j + 1}" for j in range(d)]:
+        raise ValueError("atom CSV header must be x1,...,xd,w")
+    if not has_rows:  # np.loadtxt warns on a body without rows
         return DiscreteMeasure(np.empty((0, d)), np.empty(0))
-    return DiscreteMeasure(np.array(pts), np.array(wts))
+    try:
+        rows = np.loadtxt(
+            path, delimiter=",", comments=None, quotechar='"', skiprows=1, ndmin=2
+        )
+    except ValueError as e:
+        raise ValueError(f"atom rows must hold {d + 1} numeric fields: {e}") from None
+    if rows.shape[1] != d + 1:
+        raise ValueError(f"atom row has {rows.shape[1]} fields, expected {d + 1}")
+    return DiscreteMeasure(rows[:, :-1], rows[:, -1])

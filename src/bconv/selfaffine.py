@@ -8,9 +8,10 @@ polynomial sum_{k<n} a_{u_k, j} * lambda_j^k, the outermost symbol carrying
 power zero.
 
 Everything here reduces to the measure and entropy layers except the exact
-word arithmetic: when per-axis minimal polynomials are available, words are
-identified by their reduced coefficient vectors, so coincidences are decided
-algebraically instead of by float comparison.
+word arithmetic: words are identified by their coefficient vectors reduced
+modulo the per-axis minimal polynomials, so coincidences are decided
+algebraically, never by float comparison; a system without minimal
+polynomials is refused there.
 """
 
 from __future__ import annotations
@@ -298,41 +299,34 @@ def dim_from_kappa(kappa: float, spec: SystemSpec) -> float:
 class RandomWalkReport:
     n: int
     value: float  # (1/n) H(word measure), an upper bound for the limit
-    arithmetic: str  # "exact" or "float"
     distinct_maps: int
     collisions_detected: bool
 
 
-def rw_entropy_upper(spec: SystemSpec, n: int, arithmetic: str = "auto") -> RandomWalkReport:
+def rw_entropy_upper(spec: SystemSpec, n: int) -> RandomWalkReport:
     """Upper bound (1/n) H(sum_u p_u delta_{phi_u}) on random-walk entropy.
 
-    Exact arithmetic identifies words by reduced translation vectors modulo
-    the axis minimal polynomials.  Float arithmetic merges only bit-identical
-    translation values, so its outcome is reported as "no collision
-    detected", never as a proof of no exact overlap.  The exact route raises
-    BudgetExceededError when a word-state entry could reach 2^62 or a depth
-    would build more than the default atom budget of child rows.
+    Words are identified by their translation vectors reduced modulo the
+    axis minimal polynomials, so every coincidence is decided exactly.  A
+    spec without minpolys raises ValueError: bit-equal float images are
+    neither necessary nor sufficient for two words to share a map.  Raises
+    BudgetExceededError at the first depth whose word-state entries could
+    reach 2^62, or when a depth would build more than the default atom
+    budget of child rows.
     """
     if n < 1:
         raise ValueError("word length must be >= 1")
-    if arithmetic == "auto":
-        arithmetic = "exact" if spec.minpolys is not None else "float"
-    if arithmetic not in ("exact", "float"):
-        raise ValueError("arithmetic must be 'exact', 'float', or 'auto'")
-
-    if arithmetic == "exact":
-        if spec.minpolys is None:
-            raise ValueError("exact arithmetic needs minimal polynomials")
-        for _, weights in _word_states(spec, n, _DEFAULT_ATOM_BUDGET):
-            pass  # only the depth-n states are needed
-        weights = np.sort(weights)
-    else:
-        mu = build_level_n(spec, n)
-        weights = np.sort(mu.weights)
-
+    if spec.minpolys is None:
+        raise ValueError(
+            "random-walk entropy needs minpolys, the minimal polynomials of lambda; "
+            "'bconv approx --rw-n' finds nearby algebraic parameters and bounds their walk entropy"
+        )
+    for _, weights in _word_states(spec, n, _DEFAULT_ATOM_BUDGET):
+        pass  # only the depth-n states are needed
+    weights = np.sort(weights)
     h = float(-np.dot(weights, np.log2(weights)))
     distinct = len(weights)
-    return RandomWalkReport(n, h / n, arithmetic, distinct, distinct < spec.n_maps**n)
+    return RandomWalkReport(n, h / n, distinct, distinct < spec.n_maps**n)
 
 
 # ---------------------------------------------------------------------------

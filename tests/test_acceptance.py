@@ -102,7 +102,7 @@ def test_c02_golden_overlap_and_walk_entropy():
         h3 = -math.fsum(float(w) * math.log2(float(w)) for w in states.values())
         assert h3 == 2.75  # all masses dyadic, so the float sum is exact
 
-        rw = {n: rw_entropy_upper(spec, n, "exact") for n in (3, 6, 12)}
+        rw = {n: rw_entropy_upper(spec, n) for n in (3, 6, 12)}
         assert rw[3].value * 3 == pytest.approx(h3, abs=1e-12)
         assert rw[3].distinct_maps == 7
         assert rw[12].value < 0.97

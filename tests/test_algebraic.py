@@ -495,8 +495,13 @@ class TestExactOverlapDepth:
 
     def test_budget_and_validation(self):
         s = SystemSpec((GOLDEN,), ((1,), (-1,)), (0.5, 0.5), ((-1, 1, 1),))
-        with pytest.raises(BudgetExceededError):
-            exact_overlap_depth(s, 40, budget=1000)
+        # the scan stops at the first joint collision, long before 2^40 words
+        assert exact_overlap_depth(s, 40, budget=1000).joint == 3
+        # third never collides, so its rows double until depth 10 passes the
+        # budget; n_max stays under depth 40, where its entries reach 2^62
+        third = SystemSpec((1 / 3,), ((1,), (-1,)), (0.5, 0.5), ((-1, 3),))
+        with pytest.raises(BudgetExceededError, match="depth 10 builds 1024"):
+            exact_overlap_depth(third, 39, budget=1000)
         # depth 8 of 1000x - 1 could carry word-state entries past 2^62
         wide = SystemSpec((0.001,), ((0,), (1,)), (0.5, 0.5), ((-1, 1000),))
         assert exact_overlap_depth(wide, 7) == OverlapReport((None,), None, 7)
@@ -593,7 +598,7 @@ class TestWordStatesOracle:
                     per_axis[j] = n
             if joint is None and len(states) < k**n:
                 joint = n
-            rep = rw_entropy_upper(spec, n, "exact")
+            rep = rw_entropy_upper(spec, n)
             assert rep.distinct_maps == len(states)
             h = -math.fsum(float(m) * math.log2(float(m)) for m in states.values())
             assert abs(rep.value - h / n) <= 1e-12

@@ -119,6 +119,9 @@ class TestSubcommands:
         got = run_json(["overlap", "--spec", str(GOLDEN_SPEC), "--n", "5"], tmp_path)
         assert got["per_axis"] == [3]
         assert got["joint"] == 3
+        # 2^25 words fit no budget, but the scan stops at depth 3
+        got = run_json(["overlap", "--spec", str(GOLDEN_SPEC), "--n", "25"], tmp_path)
+        assert (got["joint"], got["n_max"]) == (3, 25)
 
     def test_separation(self, tmp_path):
         got = run_json(["separation", "--spec", str(THIRD_SPEC), "--n", "3"], tmp_path)
@@ -279,6 +282,23 @@ class TestExitCodes:
         monkeypatch.setattr(algebraic, "_group_rows", no_rows)
         assert dispatch(["rw-entropy", "--spec", str(THIRD_SPEC), "--n", "40"]) == 2
         assert "2^62" in capsys.readouterr().err
+
+    def test_rw_entropy_arithmetic_flag_is_gone(self, capsys):
+        argv = ["rw-entropy", "--spec", str(GOLDEN_SPEC), "--n", "3", "--arithmetic", "float"]
+        assert dispatch(argv) == 1
+        assert "--arithmetic" in capsys.readouterr().err
+
+    def test_rw_entropy_needs_minpolys(self, tmp_path, capsys):
+        # dyadic lambda near the golden ratio, no minpolys: all 2^18 words are
+        # distinct, so a float collision count would understate the bound
+        p = tmp_path / "dyadic-golden.json"
+        p.write_text(
+            '{"lambda": [0.6180339887498949], '
+            '"maps": [{"a": [1], "p": 0.5}, {"a": [-1], "p": 0.5}]}'
+        )
+        assert dispatch(["rw-entropy", "--spec", str(p), "--n", "18"]) == 1
+        err = capsys.readouterr().err
+        assert "minpolys" in err and "approx --rw-n" in err
 
     def test_dim_forwards_budget(self, capsys):
         assert dispatch(["dim", "--spec", str(THIRD_SPEC), "--n", "6", "--budget", "10"]) == 2

@@ -213,6 +213,20 @@ class TestAtomCsv:
         with pytest.raises(ValueError, match="fields"):
             read_atoms_csv(bad)
 
+    @pytest.mark.filterwarnings("error")
+    def test_header_only_reads_without_warning(self, tmp_path):
+        path = tmp_path / "none.csv"
+        path.write_text("x1,x2,w\n\n")
+        back = read_atoms_csv(path)
+        assert back.n_atoms == 0 and back.dim == 2
+
+    def test_ragged_rows(self, tmp_path):
+        path = tmp_path / "ragged.csv"
+        for body in ("1.0,0.5\n2.0\n", "1.0,0.5\n2.0,0.25,3\n"):
+            path.write_text("x1,w\n" + body)
+            with pytest.raises(ValueError, match="fields"):
+                read_atoms_csv(path)
+
     def test_empty_measure_round_trip(self, tmp_path):
         path = tmp_path / "none.csv"
         write_atoms_csv(from_atoms([]), path)

@@ -246,7 +246,7 @@ class TestKappa:
 class TestRandomWalkEntropy:
     def test_golden_exact_values(self):
         s = golden_spec()
-        got = {n: rw_entropy_upper(s, n, "exact") for n in (3, 4, 5, 6)}
+        got = {n: rw_entropy_upper(s, n) for n in (3, 4, 5, 6)}
         assert got[3].value == pytest.approx(2.75 / 3.0, abs=1e-12)
         assert got[3].distinct_maps == 7
         assert got[4].distinct_maps == 12
@@ -260,55 +260,46 @@ class TestRandomWalkEntropy:
     def test_golden_nonincreasing_on_divisor_chain(self):
         # (1/n) H is subadditive along n | n', so the bound improves
         s = golden_spec()
-        vals = [rw_entropy_upper(s, n, "exact").value for n in (3, 6, 12)]
+        vals = [rw_entropy_upper(s, n).value for n in (3, 6, 12)]
         assert vals[0] >= vals[1] - 1e-12
         assert vals[1] >= vals[2] - 1e-12
         assert vals[2] < 0.97
 
-    def test_float_route_misses_golden_collision(self):
-        # the two depth-3 colliding words differ by ~1e-16 in float, so the
-        # float route reports no collision; its bound can only be larger
-        s = golden_spec()
-        exact = rw_entropy_upper(s, 3, "exact")
-        fl = rw_entropy_upper(s, 3, "float")
-        assert exact.distinct_maps == 7 and exact.collisions_detected
-        assert fl.distinct_maps == 8 and not fl.collisions_detected
-        assert fl.value >= exact.value
-        assert fl.arithmetic == "float"
-
-    def test_auto_prefers_exact_when_minpolys_present(self):
-        assert rw_entropy_upper(golden_spec(), 2, "auto").arithmetic == "exact"
-        s = SystemSpec((0.5,), PM1, HALF)
-        assert rw_entropy_upper(s, 2, "auto").arithmetic == "float"
-
     def test_exact_requires_minpolys(self):
         s = SystemSpec((0.5,), PM1, HALF)
-        with pytest.raises(ValueError, match="minimal polynomials"):
-            rw_entropy_upper(s, 3, "exact")
+        with pytest.raises(ValueError, match="minpolys.*approx --rw-n"):
+            rw_entropy_upper(s, 3)
+
+    def test_dyadic_golden_without_minpolys_is_refused(self):
+        # the dyadic double nearest the golden ratio is no root of a
+        # {-1, 0, 1} polynomial (rational-root theorem), so all 2^18 words are
+        # distinct and the entropy is 1 bit; counting bit-equal float images
+        # as collisions reported 35,696 maps and 0.815 bits
+        s = SystemSpec((GOLDEN,), PM1, HALF)
+        with pytest.raises(ValueError, match="minpolys"):
+            rw_entropy_upper(s, 18)
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError, match=">= 1"):
             rw_entropy_upper(golden_spec(), 0)
-        with pytest.raises(ValueError, match="arithmetic"):
-            rw_entropy_upper(golden_spec(), 3, "symbolic")
 
     def test_row_budget_refusal(self, monkeypatch):
         # golden depths 1..6 build 2, 4, 8, 14, 24, 40 child rows
         monkeypatch.setattr(selfaffine, "_DEFAULT_ATOM_BUDGET", 40)
-        assert rw_entropy_upper(golden_spec(), 6, "exact").distinct_maps == 33
+        assert rw_entropy_upper(golden_spec(), 6).distinct_maps == 33
         monkeypatch.setattr(selfaffine, "_DEFAULT_ATOM_BUDGET", 39)
         with pytest.raises(BudgetExceededError, match="depth 6 builds 40 word-state rows"):
-            rw_entropy_upper(golden_spec(), 6, "exact")
+            rw_entropy_upper(golden_spec(), 6)
 
     def test_int64_bound_refusal_non_monic(self):
         # 1000x - 1 scales depth n by 1000^(n-1); digits {0, 1} bound the
         # entries by (1000^n - 1) / 999, under 2^62 at n = 7, past it at n = 8
         s = SystemSpec((0.001,), ((0,), (1,)), HALF, ((-1, 1000),))
         assert (1000**7 - 1) // 999 < 2**62 <= (1000**8 - 1) // 999
-        rep = rw_entropy_upper(s, 7, "exact")
+        rep = rw_entropy_upper(s, 7)
         assert rep.distinct_maps == 2**7 and rep.value == 1.0
         with pytest.raises(BudgetExceededError, match="2\\^62"):
-            rw_entropy_upper(s, 8, "exact")
+            rw_entropy_upper(s, 8)
 
     def test_int64_bound_refusal_negative_leading(self):
         # 1 - 1000x has the root of 1000x - 1 and leading coefficient -1000:
@@ -316,17 +307,24 @@ class TestRandomWalkEntropy:
         # signed bound would pass n = 23, where 1000^22 is a multiple of 2^64
         # and words differing only in their first digit wrap to one row.
         s = SystemSpec((0.001,), ((0,), (1,)), HALF, ((1, -1000),))
-        rep = rw_entropy_upper(s, 7, "exact")
+        rep = rw_entropy_upper(s, 7)
         assert rep.distinct_maps == 2**7 and rep.value == 1.0
         for n in (8, 23):
             with pytest.raises(BudgetExceededError, match="2\\^62"):
-                rw_entropy_upper(s, n, "exact")
+                rw_entropy_upper(s, n)
         with pytest.raises(BudgetExceededError, match="2\\^62"):
             exact_overlap_depth(s, 23)
 
+    def test_int64_bound_refuses_at_first_depth(self):
+        # golden entries pass 2^62 at depth 90; the power table stops there
+        # instead of growing to n rows of ever longer integers
+        for call in (rw_entropy_upper, exact_overlap_depth):
+            with pytest.raises(BudgetExceededError, match="at depth 90 .*2\\^62"):
+                call(golden_spec(), 5000)
+
     def test_no_overlap_value_is_prob_entropy(self):
-        s = SystemSpec((0.5,), ((1,), (0,)), (0.75, 0.25))
-        rep = rw_entropy_upper(s, 5, "float")
+        s = SystemSpec((0.5,), ((1,), (0,)), (0.75, 0.25), ((-1, 2),))
+        rep = rw_entropy_upper(s, 5)
         assert rep.value == pytest.approx(s.prob_entropy, abs=1e-12)
         assert rep.distinct_maps == 32
         assert not rep.collisions_detected
