@@ -328,6 +328,29 @@ def _group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return relabel[code], first[order]
 
 
+def _state_limit(spec: "SystemSpec", n: int) -> tuple[int, str] | None:
+    """The first depth <= n whose word-state entries could reach 2^62.
+
+    int64 arithmetic wraps silently, so a bound on every entry of the
+    scaled power table and of the states is kept in Python integers, one
+    depth at a time; it grows by |lead| per depth, since a minpoly may have
+    a negative leading coefficient.  Returns (depth, refusal message), or
+    None when every depth up to n is safe.
+    """
+    digit = [max(abs(row[j]) for row in spec.translations) for j in range(spec.dim)]
+    bound = [0] * spec.dim
+    for depth, ts in zip(range(1, n + 1), zip(*map(_scaled_powers, spec.minpolys))):
+        for j, (p, t) in enumerate(zip(spec.minpolys, ts)):
+            top = max(map(abs, t))
+            bound[j] = max(abs(p.leading) * bound[j] + digit[j] * top, top)
+            if bound[j] >= _STATE_LIMIT:
+                return depth, (
+                    f"axis {j + 1} word states at depth {depth} may reach {bound[j]}, "
+                    "past the int64 limit 2^62"
+                )
+    return None
+
+
 def _word_states(spec: "SystemSpec", n: int, budget: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Exact word states at depths 1..n as (rows, weights) pairs.
 
@@ -342,40 +365,27 @@ def _word_states(spec: "SystemSpec", n: int, budget: int) -> Iterator[tuple[np.n
     would use; so the rows come out in that dict's insertion order and
     every weight is the same float sum.
 
-    int64 arithmetic wraps silently, so a bound on every intermediate entry
-    is kept in Python integers while the power table is built one depth at
-    a time; it grows by |lead| per depth, since a minpoly may have a
-    negative leading coefficient.  The call is refused at the first depth
-    whose bound reaches 2^62, before any state is enumerated, or when a
+    The call is refused before any state is enumerated when some depth up
+    to n could carry entries past 2^62 (_state_limit), and later when a
     depth would build more than `budget` child rows.
     """
+    limit = _state_limit(spec, n)
+    if limit is not None:
+        raise BudgetExceededError(limit[1])
     degrees = [p.degree for p in spec.minpolys]
-    digit = [max(abs(row[j]) for row in spec.translations) for j in range(spec.dim)]
-    bound = [0] * spec.dim
-    table = []
-    for depth, ts in zip(range(1, n + 1), zip(*map(_scaled_powers, spec.minpolys))):
-        for j, (p, t) in enumerate(zip(spec.minpolys, ts)):
-            top = max(map(abs, t))
-            bound[j] = max(abs(p.leading) * bound[j] + digit[j] * top, top)
-            if bound[j] >= _STATE_LIMIT:
-                raise BudgetExceededError(
-                    f"axis {j + 1} word states at depth {depth} may reach {bound[j]}, "
-                    "past the int64 limit 2^62"
-                )
-        table.append(sum(ts, []))
     lead = np.repeat([p.leading for p in spec.minpolys], degrees).astype(np.int64)
-    powers = np.array(table, dtype=np.int64)
     digits = np.repeat(np.asarray(spec.translations, dtype=np.int64), degrees, axis=1)
     probs = np.asarray(spec.probs)
     rows = np.zeros((1, sum(degrees)), dtype=np.int64)
     weights = np.ones(1)
-    for depth in range(n):
+    for depth, ts in zip(range(1, n + 1), zip(*map(_scaled_powers, spec.minpolys))):
         count = spec.n_maps * len(rows)
         if count > budget:
             raise BudgetExceededError(
-                f"depth {depth + 1} builds {count} word-state rows, budget is {budget}"
+                f"depth {depth} builds {count} word-state rows, budget is {budget}"
             )
-        child = ((lead * rows)[:, None, :] + (digits * powers[depth])[None, :, :]).reshape(count, -1)
+        power = np.array(sum(ts, []), dtype=np.int64)
+        child = ((lead * rows)[:, None, :] + (digits * power)[None, :, :]).reshape(count, -1)
         ids, first = _group_rows(child)
         rows = child[first]
         terms = (weights[:, None] * probs[None, :]).ravel()
@@ -389,11 +399,13 @@ def _word_states(spec: "SystemSpec", n: int, budget: int) -> Iterator[tuple[np.n
 
 
 def _certified_roots(poly: IntPolynomial, err_target: float):
-    """Complex roots of poly with a reported max error below err_target.
+    """Complex roots of poly whose estimated max error is below err_target.
 
     Precision escalates until the arbitrary-precision solver's own error
-    estimate meets the target.  Zero roots are stripped first (they never
-    matter for Mahler measure, and the solver dislikes them).
+    estimate meets the target.  That estimate comes from the solver's last
+    step, not from an enclosure, so the roots are not certified.  Zero roots
+    are stripped first (they never matter for Mahler measure, and the solver
+    dislikes them).
     """
     import mpmath as mp
 
@@ -414,14 +426,15 @@ def _certified_roots(poly: IntPolynomial, err_target: float):
                 continue
             if err < err_target:
                 return [mp.mpc(r) for r in roots], n_zero_roots, mp.mpf(err)
-    raise ArithmeticError("root finding did not reach the requested certification")
+    raise ArithmeticError("root finding did not reach the requested error estimate")
 
 
 def mahler_measure(poly: "IntPolynomial | Sequence[int]", rel_tol: float = 1e-9) -> float:
-    """Mahler measure |lead| * prod(max(1, |root|)), certified to rel_tol.
+    """Mahler measure |lead| * prod(max(1, |root|)), to an estimated rel_tol.
 
-    The root solver's error estimate is driven below rel_tol / (10 * degree)
-    so the propagated relative error on the product stays below rel_tol.
+    The root solver's error estimate is driven below rel_tol / (10 * degree),
+    so the relative error on the product stays below rel_tol if that
+    estimate holds; it is not a proven bound on the roots.
     """
     if not isinstance(poly, IntPolynomial):
         poly = IntPolynomial(tuple(poly))
@@ -717,13 +730,6 @@ def min_value_poly_search(
     return SearchResult(IntPolynomial(digits), value, strategy)
 
 
-def _top_candidates(
-    xi: float, n: int, coeffs: tuple[int, ...], k: int, budget: int = 1 << 24
-) -> list[tuple[float, tuple[int, ...]]]:
-    """The k best (|value|, digits) pairs, ordered by value then tie rule."""
-    return [(a, d) for a, d, _ in _smallest(xi, n, coeffs, k, budget)]
-
-
 # ---------------------------------------------------------------------------
 # Parameter approximation pipeline
 # ---------------------------------------------------------------------------
@@ -767,13 +773,15 @@ def approximate_parameters(
     lam = [float(v) for v in lam]
     if len(diff_sets) != len(lam):
         raise ValueError("one coefficient set per axis is required")
+    if top_k < 1:
+        raise ValueError("top_k must be >= 1")
     axes: list[AxisApproximation] = []
     for j, (lj, dset) in enumerate(zip(lam, diff_sets), start=1):
         _, _, coeffs = _validate_search(lj, n, dset)
-        cands = _top_candidates(lj, n, coeffs, top_k)
+        cands = _smallest(lj, n, coeffs, top_k, 1 << 24)
         chosen = None
         fallback = None  # nearest real root anywhere, for the failure report
-        for absval, digits in cands:
+        for absval, digits, _ in cands:
             poly = IntPolynomial(digits)
             roots = _real_roots_float(poly)
             for r in roots:
@@ -836,7 +844,9 @@ def exact_overlap_depth(spec: "SystemSpec", n_max: int, budget: int = 1 << 24) -
     when their translation polynomials agree, i.e. reduce to the same vector
     modulo the axis minimal polynomial.  Axis j reports the first depth where
     the axis-j values collide; the joint depth requires simultaneous
-    collision on every axis.  None means no collision up to n_max.
+    collision on every axis.  None means no collision up to n_max.  The scan
+    stops short of the first depth whose word-state entries could reach
+    2^62 and is refused only if it gets there with a depth still undecided.
     """
     if spec.minpolys is None:
         raise ValueError("exact overlap detection needs minimal polynomials")
@@ -846,7 +856,9 @@ def exact_overlap_depth(spec: "SystemSpec", n_max: int, budget: int = 1 << 24) -
     per_axis: list[int | None] = [None] * spec.dim
     joint: int | None = None
     edges = np.cumsum([0] + [p.degree for p in spec.minpolys])
-    for depth, (rows, _) in enumerate(_word_states(spec, n_max, budget), start=1):
+    limit = _state_limit(spec, n_max)
+    scan = n_max if limit is None else limit[0] - 1
+    for depth, (rows, _) in enumerate(_word_states(spec, scan, budget), start=1):
         # The axis-j values of all words are the projection of the joint states.
         expected = k**depth
         for j in range(spec.dim):
@@ -856,4 +868,7 @@ def exact_overlap_depth(spec: "SystemSpec", n_max: int, budget: int = 1 << 24) -
             joint = depth
         if joint is not None and all(v is not None for v in per_axis):
             break
+    else:
+        if limit is not None:
+            raise BudgetExceededError(limit[1])
     return OverlapReport(tuple(per_axis), joint, n_max)

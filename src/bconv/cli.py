@@ -19,12 +19,16 @@ import json
 import sys
 from typing import Sequence
 
-import numpy as np
-
 from . import decompose as dec
 from . import entropy as ent
 from . import selfaffine as sa
-from .algebraic import IntPolynomial, mahler_measure, min_value_poly_search
+from .algebraic import (
+    IntPolynomial,
+    approximate_parameters,
+    exact_overlap_depth,
+    mahler_measure,
+    min_value_poly_search,
+)
 from .errors import BudgetExceededError
 from .measures import read_atoms_csv
 from .scales import ScaleVector
@@ -218,7 +222,7 @@ def _cmd_rw_entropy(args) -> dict:
 def _cmd_overlap(args) -> dict:
     spec = load_system_spec(args.spec)
     (n_max,) = _parse_range(args.n)
-    rep = sa.system_overlap_depth(spec, n_max, **_budget_kw(args))
+    rep = exact_overlap_depth(spec, n_max, **_budget_kw(args))
     return {
         "per_axis": list(rep.per_axis),
         "joint": rep.joint,
@@ -357,7 +361,7 @@ def _cmd_poly_search(args) -> dict:
 def _cmd_approx(args) -> dict:
     spec = load_system_spec(args.spec)
     (n,) = _parse_range(args.n)
-    rep = sa.approximate_system_parameters(spec, n, args.top_k)
+    rep = approximate_parameters(spec.lam.entries, n, spec.axis_difference_sets(), args.top_k)
     rows = []
     for a in rep.axes:
         rows.append(

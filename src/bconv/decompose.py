@@ -26,8 +26,8 @@ from typing import Sequence
 import numpy as np
 
 from . import entropy as ent
-from .measures import DiscreteMeasure, bernoulli_power
-from .scales import ScaleVector, _as_scale, s_sequence, validate_contraction_vector
+from .measures import DiscreteMeasure, bernoulli_power, convolve
+from .scales import ScaleVector, s_sequence, validate_contraction_vector
 
 __all__ = [
     "BernoulliPair",
@@ -334,8 +334,6 @@ def entropy_increase_gap(
     r_fine = lam ** float(t2)
     r_coarse = lam ** float(t1)
     beta = ent.avg_cond_entropy(nu, r_fine, r_coarse, quad).value / (t2 - t1)
-    from .measures import convolve
-
     conv = convolve(nu, mu)
     h_conv = ent.avg_cond_entropy(conv, r_fine, r_coarse, quad)
     h_mu = ent.avg_cond_entropy(mu, r_fine, r_coarse, quad)
@@ -391,11 +389,6 @@ def tube_entropy_selfconv(
     rows = []
     for j in range(1, d + 1):
         a = math.floor(math.log2(k) / (2.0 * chi[j - 1])) if k > 1 else 0
-        base = level - a
-        other = [t for t in range(1, d + 1) if t != j]
-        fine = ent.en(base + m, lam)
-        coarse = ent.en_join_projected(base, m, other, lam)
-        val = ent.conditional_entropy(zk, fine, coarse) / m
-        rows.append(TubeRow(j, a, val, chi[j - 1]))
+        rows.append(TubeRow(j, a, ent.saturation_defect(zk, lam, j, level - a, m), chi[j - 1]))
     top = max(rows, key=lambda r: r.value - r.chi)
     return TubeReport(k, m, level, tuple(rows), top.axis)

@@ -50,6 +50,7 @@ __all__ = [
     "trivial",
     "partition_entropy",
     "conditional_entropy",
+    "saturation_defect",
     "avg_entropy",
     "avg_cond_entropy",
 ]
@@ -291,6 +292,22 @@ def conditional_entropy(mu: DiscreteMeasure, fine: Keying, coarse: Keying) -> fl
     return _grouped_entropy(codes, w, c) - _grouped_entropy(codes[:, len(fine.columns) :], w, c)
 
 
+def saturation_defect(
+    mu: DiscreteMeasure, lam: "ScaleVector | Sequence[float]", j: int, n: int, m: int
+) -> float:
+    """(1/m) H(mu, E_{n+m} | E_n join level-(n+m) cells of every axis but j).
+
+    The fresh entropy the level-(n+m) cells add along axis j (1-based) once
+    level n and the finer cells of the other axes are known, per level.
+    """
+    lam = _as_scale(lam)
+    if not 1 <= j <= len(lam):
+        raise ValueError("axis j out of range")
+    other = [a for a in range(1, len(lam) + 1) if a != j]
+    coarse = en_join_projected(n, m, other, lam)
+    return conditional_entropy(mu, en(n + m, lam), coarse) / m
+
+
 # ---------------------------------------------------------------------------
 # Average (offset-integrated) entropy
 # ---------------------------------------------------------------------------
@@ -400,6 +417,7 @@ def _avg_entropy_exact(
 
 
 def _sobol_offsets(d: int, count: int, seed: int) -> np.ndarray:
+    """The first count points of scrambled Sobol in [0, 1)^d, fixed by the seed."""
     from scipy.stats import qmc
 
     sampler = qmc.Sobol(d=d, scramble=True, seed=seed)
@@ -426,7 +444,6 @@ def avg_entropy(
     mu: DiscreteMeasure,
     r: "ScaleVector | Sequence[float] | float",
     quad: QuadratureSpec | None = None,
-    _offsets: np.ndarray | None = None,
 ) -> EntropyReport:
     """Average entropy of mu at vector scale r, in bits.
 
@@ -445,7 +462,7 @@ def avg_entropy(
     if quad.mode == "exact":
         raw, cells = _avg_entropy_exact(mu.points, mu.weights, rv, quad.cell_budget)
         return EntropyReport(max(c * raw, 0.0), "exact", cells, 1e-10)
-    offs = _offsets if _offsets is not None else _sobol_offsets(mu.dim, quad.offsets, quad.seed)
+    offs = _sobol_offsets(mu.dim, quad.offsets, quad.seed)
     raw, err = _avg_entropy_qmc(mu.points, mu.weights, rv, offs)
     return EntropyReport(max(c * raw, 0.0), "qmc", offs.shape[0], c * err)
 
@@ -458,16 +475,12 @@ def avg_cond_entropy(
 ) -> EntropyReport:
     """Average conditional entropy H(mu; r | r') = H(mu; r) - H(mu; r').
 
-    In qmc mode both scales are evaluated with the same offset draw so the
-    difference does not pick up independent sampling noise.
+    In qmc mode both scales see the same offsets: the scrambled Sobol draw
+    is a function of (dimension, count, seed) alone, so the difference does
+    not pick up independent sampling noise.
     """
     quad = quad or QuadratureSpec()
-    if quad.mode == "qmc":
-        offs = _sobol_offsets(mu.dim, quad.offsets, quad.seed)
-        fine = avg_entropy(mu, r, quad, _offsets=offs)
-        coarse = avg_entropy(mu, r_coarse, quad, _offsets=offs)
-    else:
-        fine = avg_entropy(mu, r, quad)
-        coarse = avg_entropy(mu, r_coarse, quad)
+    fine = avg_entropy(mu, r, quad)
+    coarse = avg_entropy(mu, r_coarse, quad)
     err = fine.error_bound + coarse.error_bound
     return EntropyReport(fine.value - coarse.value, fine.method, fine.offsets_used, err)

@@ -24,17 +24,9 @@ from typing import Sequence
 import numpy as np
 
 from . import entropy as ent
-from .algebraic import (
-    AlgebraicNumber,
-    ApproxReport,
-    IntPolynomial,
-    OverlapReport,
-    approximate_parameters,
-    exact_overlap_depth,
-    _word_states,
-)
+from .algebraic import AlgebraicNumber, IntPolynomial, _word_states
 from .errors import BudgetExceededError
-from .measures import DiscreteMeasure, ScaleBy, pushforward
+from .measures import DiscreteMeasure, ScaleBy, convolve, pushforward
 from .scales import ScaleVector, _as_scale, validate_contraction_vector
 
 __all__ = [
@@ -52,8 +44,6 @@ __all__ = [
     "non_saturation_profile",
     "SeparationProfile",
     "separation_profile",
-    "approximate_system_parameters",
-    "system_overlap_depth",
 ]
 
 _DEFAULT_ATOM_BUDGET = 1 << 24
@@ -152,11 +142,12 @@ def build_level_n(
 ) -> DiscreteMeasure:
     """The level-n word measure: weight p_u at the image of 0 under word u.
 
-    Enumeration is breadth-first over digits in increasing power with the
-    canonical merge applied per level.  That merge collapses only images
-    that are bit-equal float64 points, so exact coincidences whose float
-    images differ by roundoff stay apart: golden at n = 18 gives 35,696
-    atoms against 10,945 exact word states (see rw_entropy_upper).  Refuses
+    A fold of convolve over the digit measures sum_i p_i delta_{a_i
+    lambda^k}, k = 0..n-1, with lambda^k kept as a running product.  The
+    canonical merge runs per level and collapses only bit-equal float64
+    points, so exact coincidences whose float images differ by roundoff
+    stay apart: golden at n = 18 gives 35,696 atoms against 10,945 exact
+    word states (see rw_entropy_upper).  Refuses, before building anything,
     when the pre-merge atom count would exceed the budget.
     """
     if n < 0:
@@ -165,18 +156,12 @@ def build_level_n(
         raise BudgetExceededError(
             f"level {n} enumerates {spec.n_maps**n} words, budget is {budget}"
         )
-    d = spec.dim
     lam = spec.lam.as_array()
     a = np.asarray(spec.translations, dtype=np.float64)  # (k, d)
-    p = np.asarray(spec.probs)
-
-    mu = DiscreteMeasure(np.zeros((1, d)), np.ones(1))
-    lam_pow = np.ones(d)
+    mu = DiscreteMeasure(np.zeros((1, spec.dim)), np.ones(1))
+    lam_pow = np.ones(spec.dim)
     for _k in range(n):
-        term = a * lam_pow  # digit contribution at this power
-        pts = (term[:, None, :] + mu.points[None, :, :]).reshape(-1, d)
-        wts = (p[:, None] * mu.weights[None, :]).ravel()
-        mu = DiscreteMeasure(pts, wts)
+        mu = convolve(DiscreteMeasure(a * lam_pow, spec.probs), mu)
         lam_pow = lam_pow * lam
     return mu
 
@@ -374,15 +359,11 @@ def non_saturation_profile(
     if eps <= 0:
         raise ValueError("eps must be positive")
     chi = tuple(-math.log2(e) for e in lam)
-    d = len(lam)
     rows = []
     ok = True
-    for j in range(1, d + 1):
-        other = [a for a in range(1, d + 1) if a != j]
+    for j in range(1, len(lam) + 1):
         for n in n_range:
-            fine = ent.en(n + m, lam)
-            coarse = ent.en_join_projected(n, m, other, lam)
-            val = ent.conditional_entropy(mu, fine, coarse) / m
+            val = ent.saturation_defect(mu, lam, j, n, m)
             rows.append((j, int(n), val))
             if not (val < chi[j - 1] - eps):
                 ok = False
@@ -452,18 +433,3 @@ def separation_profile(
         else:
             joint.append(None)
     return SeparationProfile(n_max, tuple(per_axis), tuple(rates), tuple(joint))
-
-
-# ---------------------------------------------------------------------------
-# Conveniences tying the system to the algebraic layer
-# ---------------------------------------------------------------------------
-
-
-def approximate_system_parameters(spec: SystemSpec, n: int, top_k: int = 32) -> ApproxReport:
-    """Run the parameter-approximation pipeline with the system's own
-    per-axis translation difference sets as coefficient sets."""
-    return approximate_parameters(spec.lam.entries, n, spec.axis_difference_sets(), top_k)
-
-
-def system_overlap_depth(spec: SystemSpec, n_max: int, budget: int = 1 << 24) -> OverlapReport:
-    return exact_overlap_depth(spec, n_max, budget)

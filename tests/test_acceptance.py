@@ -29,6 +29,7 @@ import test_entropy_lemmas as lemma_suite
 
 from bconv.algebraic import (
     approximate_parameters,
+    exact_overlap_depth,
     IntPolynomial,
     mahler_measure,
     min_value_poly_search,
@@ -45,7 +46,6 @@ from bconv.selfaffine import (
     lyapunov_dimension,
     non_saturation_profile,
     rw_entropy_upper,
-    system_overlap_depth,
     SystemSpec,
 )
 
@@ -90,7 +90,7 @@ def test_c02_golden_overlap_and_walk_entropy():
     with criterion(2, "golden-ratio overlap depth and walk-entropy bounds"):
         t0 = time.perf_counter()
         spec = golden_spec()
-        assert system_overlap_depth(spec, 5).per_axis == (3,)
+        assert exact_overlap_depth(spec, 5).per_axis == (3,)
 
         # independent exact count of the depth-3 word measure: reduce each
         # +-1 word modulo x^2 + x - 1 and accumulate dyadic masses

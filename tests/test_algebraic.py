@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from bconv.algebraic import (
-    _top_candidates,
+    _smallest,
     _word_states,
     AlgebraicNumber,
     approximate_parameters,
@@ -393,6 +393,11 @@ def _ranking_fixtures():
         xi = float(rng.uniform(-0.95, 0.95))
         fixtures.append((xi, int(rng.integers(1, 8)), sets[i % len(sets)]))
     return fixtures
+
+
+def _top_candidates(xi, n, coeffs, k, budget=1 << 24):
+    """The k best (|value|, digits) pairs of the sorted-halves kernel."""
+    return [(a, d) for a, d, _ in _smallest(xi, n, coeffs, k, budget)]
 
 
 class TestTopCandidates:

@@ -119,9 +119,11 @@ class TestSubcommands:
         got = run_json(["overlap", "--spec", str(GOLDEN_SPEC), "--n", "5"], tmp_path)
         assert got["per_axis"] == [3]
         assert got["joint"] == 3
-        # 2^25 words fit no budget, but the scan stops at depth 3
-        got = run_json(["overlap", "--spec", str(GOLDEN_SPEC), "--n", "25"], tmp_path)
-        assert (got["joint"], got["n_max"]) == (3, 25)
+        # 2^25 words fit no budget, and from depth 90 on word-state entries
+        # could pass 2^62, but the scan stops at depth 3
+        for n in (25, 89, 90):
+            got = run_json(["overlap", "--spec", str(GOLDEN_SPEC), "--n", str(n)], tmp_path)
+            assert (got["joint"], got["n_max"]) == (3, n)
 
     def test_separation(self, tmp_path):
         got = run_json(["separation", "--spec", str(THIRD_SPEC), "--n", "3"], tmp_path)
@@ -299,6 +301,12 @@ class TestExitCodes:
         assert dispatch(["rw-entropy", "--spec", str(p), "--n", "18"]) == 1
         err = capsys.readouterr().err
         assert "minpolys" in err and "approx --rw-n" in err
+
+    @pytest.mark.parametrize("top_k", ["0", "-1"])
+    def test_approx_top_k_below_one_is_exit_1(self, top_k, capsys):
+        argv = ["approx", "--spec", str(GOLDEN_SPEC), "--n", "3", "--top-k", top_k]
+        assert dispatch(argv) == 1
+        assert "top_k" in capsys.readouterr().err
 
     def test_dim_forwards_budget(self, capsys):
         assert dispatch(["dim", "--spec", str(THIRD_SPEC), "--n", "6", "--budget", "10"]) == 2

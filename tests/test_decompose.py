@@ -31,7 +31,8 @@ from bconv.decompose import (
     entropy_increase_gap,
     tube_entropy_selfconv,
 )
-from bconv.measures import from_atoms
+from bconv.entropy import saturation_defect
+from bconv.measures import bernoulli_power, from_atoms
 from bconv.scales import s_sequence
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -436,6 +437,16 @@ class TestTubeEntropy:
         assert base.rows[0].a == moved.rows[0].a
         # finer window sees the binomial's discreteness: values differ
         assert moved.rows[0].value != base.rows[0].value
+
+    def test_rows_are_saturation_defects_at_shifted_level(self):
+        lam = (0.5, 0.25)
+        x, y, k, m, level = (0.0, 0.0), (0.3, 1.0), 300, 3, 0
+        rep = tube_entropy_selfconv(x, y, k, lam, m, level)
+        zk = bernoulli_power(x, y, k)
+        assert [r.a for r in rep.rows] == [4, 2]
+        for r in rep.rows:
+            assert r.value > 0.0
+            assert r.value == saturation_defect(zk, lam, r.axis, level - r.a, m), r.axis
 
     def test_validation(self):
         with pytest.raises(ValueError, match="m must be >= 1"):

@@ -15,6 +15,7 @@ from bconv.entropy import (
     en_join_projected,
     grid,
     partition_entropy,
+    saturation_defect,
     trivial,
 )
 from bconv.errors import BoundaryHazardWarning, BudgetExceededError
@@ -130,6 +131,29 @@ class TestConditionalEntropy:
             assert conditional_entropy(mu, fine, coarse) >= -1e-12
 
 
+class TestSaturationDefect:
+    def test_matches_conditional_entropy_over_joined_keying(self):
+        rng = np.random.default_rng(8)
+        lam = ScaleVector((0.7, 0.4, 0.2))
+        pts, wts = rng.uniform(-1, 1, (60, 3)), rng.uniform(0.1, 1, 60)
+        mu = from_atoms((tuple(p), w) for p, w in zip(pts, wts))
+        for j, n, m in itertools.product((1, 2, 3), (0, 2, 4), (1, 3)):
+            other = [a for a in (1, 2, 3) if a != j]
+            coarse = en_join_projected(n, m, other, lam)
+            expected = conditional_entropy(mu, en(n + m, lam), coarse) / m
+            assert saturation_defect(mu, lam, j, n, m) == expected, (j, n, m)
+
+    def test_one_dimension_conditions_on_level_n(self):
+        mu = _uniform([(0.1,), (0.3,), (0.6,), (0.9,)])
+        assert saturation_defect(mu, (0.5,), 1, 0, 2) == 1.0  # 4 cells of E_2 over 1 / 2
+
+    def test_axis_out_of_range(self):
+        mu = _uniform([(0.1, 0.2)])
+        for j in (0, 3):
+            with pytest.raises(ValueError, match="axis"):
+                saturation_defect(mu, (0.5, 0.25), j, 1, 1)
+
+
 class TestAvgEntropy:
     def test_delta_is_zero_at_any_scale(self):
         for r in (0.1, 1.0, (0.25,), ScaleVector((3.0,))):
@@ -243,6 +267,20 @@ class TestAvgCondEntropy:
         mu = _uniform([tuple(p) for p in rng.uniform(0, 2, (9, 2))])
         rep = avg_cond_entropy(mu, (0.4, 0.3), (0.4, 0.3), QuadratureSpec(mode="qmc", offsets=256))
         assert rep.value == 0.0
+
+
+    def test_qmc_is_difference_of_two_plain_calls(self):
+        # both scales see one seeded draw: the conditional value is exactly
+        # the difference of two independent avg_entropy calls
+        rng = np.random.default_rng(12)
+        mu = _uniform([tuple(p) for p in rng.uniform(0, 3, (40, 2))])
+        quad = QuadratureSpec(mode="qmc", offsets=128, seed=5)
+        fine = avg_entropy(mu, (0.3, 0.2), quad)
+        coarse = avg_entropy(mu, (0.9, 0.7), quad)
+        rep = avg_cond_entropy(mu, (0.3, 0.2), (0.9, 0.7), quad)
+        assert rep.value == fine.value - coarse.value
+        assert rep.error_bound == fine.error_bound + coarse.error_bound
+        assert (rep.method, rep.offsets_used) == ("qmc", 128)
 
 
 class TestPartitionVsScaleConsistency:

@@ -2,15 +2,17 @@
 built on top of them (Lyapunov, kappa, random-walk bounds, saturation,
 separation)."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from bconv import selfaffine
-from bconv.algebraic import _word_states, exact_overlap_depth
+from bconv.entropy import saturation_defect
+from bconv.algebraic import _word_states, approximate_parameters, exact_overlap_depth
 from bconv.errors import BudgetExceededError
-from bconv.measures import convolve, from_atoms, pushforward, ScaleBy
+from bconv.measures import convolve, DiscreteMeasure, from_atoms, pushforward, ScaleBy
 from bconv.scales import ScaleVector
 from bconv.selfaffine import (
     build_factor,
@@ -135,6 +137,27 @@ class TestBuildLevelN:
     def test_mass_is_one(self):
         mu = build_level_n(golden_spec(), 6)
         assert mu.mass == pytest.approx(1.0, abs=1e-12)
+
+    def test_matches_word_sum_oracle_bitwise(self):
+        # every word's image accumulated digit by digit, x = a_k * lambda^k + x,
+        # with lambda^k a running product; lambda**k differs in the last bit
+        lam = np.array([0.6, 0.45])
+        spec = SystemSpec(tuple(lam), ((3, 0), (0, 5), (-2, 7)), (0.5, 0.3, 0.2))
+        a = np.array(spec.translations, dtype=np.float64)
+        p = np.array(spec.probs)
+        for n in range(1, 11):
+            words = np.array(list(itertools.product(range(3), repeat=n)))
+            x = np.zeros((len(words), 2))
+            w = np.ones(len(words))
+            lam_k = np.ones(2)
+            for k in range(n):
+                x = a[words[:, k]] * lam_k + x
+                w = p[words[:, k]] * w
+                lam_k = lam_k * lam
+            oracle = DiscreteMeasure(x, w)
+            mu = build_level_n(spec, n)
+            np.testing.assert_array_equal(mu.points, oracle.points, err_msg=str(n))
+            np.testing.assert_array_equal(mu.weights, oracle.weights, err_msg=str(n))
 
     def test_budget_refusal(self):
         with pytest.raises(BudgetExceededError, match="budget"):
@@ -316,11 +339,13 @@ class TestRandomWalkEntropy:
             exact_overlap_depth(s, 23)
 
     def test_int64_bound_refuses_at_first_depth(self):
-        # golden entries pass 2^62 at depth 90; the power table stops there
-        # instead of growing to n rows of ever longer integers
-        for call in (rw_entropy_upper, exact_overlap_depth):
-            with pytest.raises(BudgetExceededError, match="at depth 90 .*2\\^62"):
-                call(golden_spec(), 5000)
+        # golden entries pass 2^62 at depth 90; the bound stops there instead
+        # of growing to n rows of ever longer integers.  The walk entropy
+        # needs depth 5000 and is refused; the overlap scan decides at depth
+        # 3, long before it reaches depth 90.
+        with pytest.raises(BudgetExceededError, match="at depth 90 .*2\\^62"):
+            rw_entropy_upper(golden_spec(), 5000)
+        assert exact_overlap_depth(golden_spec(), 5000).joint == 3
 
     def test_no_overlap_value_is_prob_entropy(self):
         s = SystemSpec((0.5,), ((1,), (0,)), (0.75, 0.25), ((-1, 2),))
@@ -357,6 +382,14 @@ class TestNonSaturation:
         assert len(prof.rows) == 4
         assert [n for n, _ in prof.axis_rows(1)] == [1, 2]
         assert [n for n, _ in prof.axis_rows(2)] == [1, 2]
+
+    def test_rows_are_saturation_defects(self):
+        spec = SystemSpec((0.6, 0.45), ((3, 0), (0, 5), (-2, 7)), (0.5, 0.3, 0.2))
+        mu = build_level_n(spec, 6)
+        prof = non_saturation_profile(mu, spec.lam, eps=0.1, m=2, n_range=range(0, 5))
+        assert len(prof.rows) == 10
+        for j, n, v in prof.rows:
+            assert v == saturation_defect(mu, spec.lam, j, n, 2), (j, n)
 
     def test_validation(self):
         mu = from_atoms([((0.0,), 1.0)])
@@ -402,17 +435,16 @@ class TestSeparation:
 
 
 class TestSystemWrappers:
-    def test_overlap_depth_wrapper(self):
-        from bconv.selfaffine import system_overlap_depth
+    """The algebraic layer called with a system's own data, as the CLI does."""
 
-        rep = system_overlap_depth(golden_spec(), 5)
+    def test_overlap_depth_wrapper(self):
+        rep = exact_overlap_depth(golden_spec(), 5)
         assert rep.per_axis == (3,)
         assert rep.joint == 3
 
     def test_approx_wrapper_recovers_golden(self):
-        from bconv.selfaffine import approximate_system_parameters
-
-        rep = approximate_system_parameters(golden_spec(), 6)
+        spec = golden_spec()
+        rep = approximate_parameters(spec.lam.entries, 6, spec.axis_difference_sets())
         assert rep.in_omega
         assert rep.axes[0].status == "ok"
         assert abs(rep.eta[0] - GOLDEN) < 1e-12
