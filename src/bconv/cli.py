@@ -92,6 +92,14 @@ def _parse_ints(text: str) -> tuple[int, ...]:
 
 
 def _quad_from_args(args) -> ent.QuadratureSpec:
+    """The quadrature the flags ask for; a flag the chosen mode ignores is refused."""
+    if args.quad == "qmc":
+        if args.budget is not None:
+            raise ValueError("--budget bounds exact quadrature cells; --quad qmc does not use it")
+    else:
+        unused = [f for f, v in (("--offsets", args.offsets), ("--seed", args.seed)) if v is not None]
+        if unused:
+            raise ValueError(f"{', '.join(unused)}: used only with --quad qmc")
     kw = {}
     if args.quad:
         kw["mode"] = args.quad

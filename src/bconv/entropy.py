@@ -11,11 +11,15 @@ Two families of partitions are keyed here:
 The average entropy of a measure at scale r is the integral over u of the
 entropy of the offset-u grid partition.  For a finite atom set the integrand
 is piecewise constant in u: on axis j it can only change where u_j crosses
-1 - frac(x_j / r_j) for some atom x.  The exact quadrature enumerates the
-product of these per-axis breakpoint intervals and sums entropy times cell
-volume, so its only error is float rounding.  A quasi-random fallback
-averages over a low-discrepancy offset set when the breakpoint product is
-out of budget.
+1 - frac(x_j / r_j) for some atom x.  The exact quadrature takes the left
+corner of each product of breakpoint intervals of the outer axes
+u_1..u_{d-1} and sweeps the last axis: by linearity the integral is
+-(1/T) sum over cells c of the integral of g_c log2(g_c / T), with g_c the
+mass of cell c and T the total mass.  Along u_d a cell's mass changes only
+where one of its atoms enters or leaves, so sorting each row's 2n
+enter/leave thresholds by cell gives every piece at once.
+Its only error is float rounding.  A quasi-random fallback averages over a
+low-discrepancy offset set when the breakpoint product is out of budget.
 
 Every cell decision is a floor of a scaled coordinate, and it is refused
 once that coordinate reaches 2^52 in magnitude: from there on doubles are
@@ -330,21 +334,29 @@ def _rows_per_chunk(n: int) -> int:
     return max(1, (1 << 21) // max(1, n))
 
 
-def _offset_entropies(
-    base: np.ndarray, thr: np.ndarray, weights: np.ndarray, total: float, offsets: np.ndarray
-) -> np.ndarray:
-    """Entropy in bits of the grid partition at each offset row u of offsets.
+def _cell_codes(base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pack base cells into one int64 code per atom: (codes, strides).
 
-    Atom i lies in cell base[i] + (u >= thr[i]).  Cells are packed into one
-    int64 code per atom, mixed-radix with axis 0 fastest; the radices come
-    once from the range of base, which the +1 step can exceed by one.
+    Mixed-radix with axis 0 fastest.  The radices come once from the range
+    of base, which an offset's +1 step can exceed by one, so codes plus
+    step @ strides is the code of the stepped cell for every 0/1 step.
     """
     lo = base.min(axis=0)
     ranges = [int(v) for v in base.max(axis=0) - lo + 2]
     if math.prod(ranges) >= _CODE_LIMIT:
         raise ValueError("combined key range exceeds the int64 range")
     strides = np.cumprod([1] + ranges[:-1])
-    base_codes = (base - lo).astype(np.int64) @ strides
+    return (base - lo).astype(np.int64) @ strides, strides
+
+
+def _offset_entropies(
+    base: np.ndarray, thr: np.ndarray, weights: np.ndarray, total: float, offsets: np.ndarray
+) -> np.ndarray:
+    """Entropy in bits of the grid partition at each offset row u of offsets.
+
+    Atom i lies in cell base[i] + (u >= thr[i]).
+    """
+    base_codes, strides = _cell_codes(base)
     n = base.shape[0]
     q = offsets.shape[0]
     values = np.empty(q)
@@ -357,6 +369,11 @@ def _offset_entropies(
             codes += (off[:, j, None] >= thr[:, j]) * stride
         values[start : start + off.shape[0]] = _cell_entropies(codes, weights, total)
     return values
+
+
+def _g_log_g(g: np.ndarray, total: float) -> np.ndarray:
+    """g log2(g / total), taken as 0 wherever g <= 0, with no log of 0."""
+    return g * np.log2(np.where(g > 0.0, g, total) / total)
 
 
 def _cell_entropies(codes: np.ndarray, weights: np.ndarray, total: float) -> np.ndarray:
@@ -378,9 +395,52 @@ def _cell_entropies(codes: np.ndarray, weights: np.ndarray, total: float) -> np.
     first = np.ones(len(rows), dtype=bool)
     first[1:] = rows[1:] != rows[:-1]
     prev[first] = 0.0
-    g = np.maximum(cw_ends - prev, 1e-300)
-    contrib = g * np.log2(g / total)
+    contrib = _g_log_g(cw_ends - prev, total)
     return -np.bincount(rows, weights=contrib, minlength=m) / total
+
+
+def _sweep_last_axis(
+    codes_a: np.ndarray, step: int, t: np.ndarray, w: np.ndarray, by_t: np.ndarray, total: float
+) -> np.ndarray:
+    """Integral over the last offset u in [0, 1) of sum_c g log2(g / total), per row.
+
+    In row k atom i lies in cell codes_a[k, i] while u < t[i], and in
+    codes_a[k, i] + step from u = t[i] on.  Each atom gives an A-entry (its
+    weight leaves a cell at t) and a B-entry (it arrives); by_t orders these
+    2n entries by t, so a stable sort by cell leaves each cell's entries in
+    threshold order.  A cell's mass on [t_k, t_{k+1}) is the A-weight of its
+    entries after k plus the B-weight of those up to k, and on [0, t_first)
+    its whole A-weight.
+    """
+    rows, n = codes_a.shape
+    codes = np.concatenate((codes_a, codes_a + step), axis=1)[:, by_t]
+    order = np.argsort(codes, axis=1, kind="stable")
+    cells = np.take_along_axis(codes, order, axis=1)
+    entry = by_t[order]
+    tk = np.concatenate((t, t))[entry]
+    is_a = entry < n
+    wk = w[entry % n]
+    wa = np.where(is_a, wk, 0.0)
+    wb = np.where(is_a, 0.0, wk)
+
+    starts = np.ones(cells.shape, dtype=bool)
+    starts[:, 1:] = cells[:, 1:] != cells[:, :-1]
+    heads = np.flatnonzero(starts)
+    group = np.cumsum(starts.ravel()) - 1
+    a_cell = np.add.reduceat(wa.ravel(), heads)
+    # Group-local prefix sums: row prefix sums less their value before the group.
+    cum_a = np.cumsum(wa, axis=1)
+    cum_b = np.cumsum(wb, axis=1)
+    a_before = (cum_a - wa).ravel()[heads]
+    b_before = (cum_b - wb).ravel()[heads]
+    g = (a_before + a_cell - b_before)[group] + (cum_b - cum_a).ravel()
+
+    # Every row starts a group, so shifting starts left marks each group's end.
+    ends = np.roll(starts, -1, axis=1)
+    length = np.where(ends, 1.0, np.roll(tk, -1, axis=1)) - tk
+    swept = (length.ravel() * _g_log_g(g, total)).reshape(rows, -1).sum(axis=1)
+    lead = tk.ravel()[heads] * _g_log_g(a_cell, total)
+    return swept + np.bincount(heads // (2 * n), weights=lead, minlength=rows)
 
 
 def _avg_entropy_exact(
@@ -400,20 +460,29 @@ def _avg_entropy_exact(
             f"exact offset quadrature needs {n_cells} cells, budget is {cell_budget}"
         )
     total = float(weights.sum())
+    base_codes, strides = _cell_codes(base)
+    t = thr[:, -1]
+    by_t = np.argsort(np.concatenate((t, t)), kind="stable")
 
-    # The integrand is constant on each breakpoint cell, so its left corner
-    # stands for the whole cell.
-    chunk = _rows_per_chunk(n)
+    # On each product of breakpoint intervals of the outer axes (all but the
+    # last) the cells are fixed, so its left corner stands for it; the last
+    # axis is swept exactly.
+    outer = m[:-1]
+    n_rows = math.prod(outer)
+    chunk = _rows_per_chunk(2 * n)
     parts = []
-    for start in range(0, n_cells, chunk):
-        multi = np.unravel_index(np.arange(start, min(start + chunk, n_cells)), m)
-        corners = np.column_stack([e[k] for e, k in zip(edges, multi)])
-        vol = np.ones(len(corners))
-        for ln, k in zip(lengths, multi):
-            vol *= ln[k]
-        h = _offset_entropies(base, thr, weights, total, corners)
-        parts.append(float(np.dot(vol, h)))
-    return math.fsum(parts), n_cells
+    for start in range(0, n_rows, chunk):
+        stop = min(start + chunk, n_rows)
+        codes_a = np.empty((stop - start, n), dtype=np.int64)
+        codes_a[:] = base_codes
+        vol = np.ones(stop - start)
+        multi = np.unravel_index(np.arange(start, stop), outer) if outer else ()
+        for j, k in enumerate(multi):
+            codes_a += (edges[j][k, None] >= thr[:, j]) * strides[j]
+            vol *= lengths[j][k]
+        rows = _sweep_last_axis(codes_a, int(strides[-1]), t, weights, by_t, total)
+        parts.append(float(np.dot(vol, rows)))
+    return -math.fsum(parts) / total, n_cells
 
 
 def _sobol_offsets(d: int, count: int, seed: int) -> np.ndarray:
@@ -478,6 +547,10 @@ def avg_cond_entropy(
     In qmc mode both scales see the same offsets: the scrambled Sobol draw
     is a function of (dimension, count, seed) alone, so the difference does
     not pick up independent sampling noise.
+
+    offsets_used is that of the scale r alone, whichever scale is finer: in
+    exact mode the breakpoint cell count of r, not of r_coarse and not their
+    sum.  Both calls are still checked against the cell budget.
     """
     quad = quad or QuadratureSpec()
     fine = avg_entropy(mu, r, quad)

@@ -339,6 +339,28 @@ class TestExitCodes:
         assert code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "cmd",
+        [
+            ["avg-entropy", "--measure", str(PAIR_CSV), "--r", "0.3"],
+            ["increase", "--measure", str(PAIR_CSV), "--measure2", str(PAIR_CSV), "--lam", "0.5",
+             "--t1", "1", "--t2", "2"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--offsets", "16", "--seed", "3"], "--offsets, --seed"),
+            (["--quad", "exact", "--seed", "3"], "--seed"),
+            (["--quad", "qmc", "--budget", "1"], "--budget"),
+        ],
+    )
+    def test_quad_flags_rejected_where_unused(self, cmd, flags, named, capsys):
+        # exact quadrature draws no offsets; qmc has no cell grid to budget
+        assert dispatch([*cmd, *flags]) == 1
+        assert named in capsys.readouterr().err
+
     def test_cell_budget_flag_is_gone(self, capsys):
         argv = ["avg-entropy", "--measure", str(PAIR_CSV), "--r", "0.37", "--cell-budget", "1"]
         assert dispatch(argv) == 1

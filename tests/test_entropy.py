@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from bconv import entropy
 from bconv.entropy import (
     QuadratureSpec,
     avg_cond_entropy,
@@ -249,6 +250,71 @@ class TestAvgEntropy:
             QuadratureSpec(offsets=0)
         with pytest.raises(ValueError):
             QuadratureSpec(cell_budget=0)
+
+
+def _corner_oracle(mu, r):
+    """Sum over every breakpoint cell of its volume times the QMC kernel's
+    entropy at the cell's left corner: the cell-by-cell quadrature."""
+    base, thr = entropy._breakpoints(mu.points / np.asarray(r))
+    edges = [np.concatenate(([0.0], np.unique(t[t < 1.0]))) for t in thr.T]
+    lengths = [np.diff(np.append(e, 1.0)) for e in edges]
+    corners = np.array(list(itertools.product(*edges)))
+    vols = np.array([math.prod(v) for v in itertools.product(*lengths)])
+    w = mu.weights / mu.mass
+    h = entropy._offset_entropies(base, thr, w, float(w.sum()), corners)
+    return mu.mass * float(np.dot(vols, h)), len(corners)
+
+
+def _sweep_fixture(kind, d):
+    rng = np.random.default_rng(70 + 10 * d + len(kind))
+    n = {1: 40, 2: 14, 3: 10}[d]
+    # dense enough that atoms often share a cell, so the integrand varies
+    pts = rng.uniform(-1.0, 1.0, (n, d))
+    r = rng.uniform(0.3, 0.9, d)
+    if kind in ("ties", "grid-lines"):
+        # r = 1/2 and grid coordinates on multiples of 1/8: y = x / r is exact
+        r = np.full(d, 0.5)
+        if kind == "ties":
+            # half the atoms have frac(y) in {1/4, 1/2, 3/4} on every axis and
+            # 3/4 on the last, so several share a threshold; none lies on a
+            # grid line
+            h = n // 2
+            pts[:h] = (4 * rng.integers(-2, 4, (h, d)) + rng.integers(1, 4, (h, d))) / 8.0
+            pts[:h, -1] = np.floor(pts[:h, -1]) + 0.375
+        else:
+            pts = rng.integers(-8, 16, (n, d)) / 8.0
+            pts[::2] = np.round(pts[::2] * 2.0) / 2.0  # y integer: threshold 1
+    elif kind == "negative":
+        pts = rng.uniform(-2.0, -0.1, (n, d))
+    w = rng.uniform(0.1, 1.0, n)
+    mu = from_atoms((tuple(p), float(v)) for p, v in zip(pts, w / w.sum()))
+    if kind == "mass":
+        mu = mu.scaled(3.7)
+    return mu, tuple(r)
+
+
+class TestExactSweep:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["ties", "grid-lines", "negative", "mass", "chunks"])
+    def test_sweep_equals_corner_oracle(self, kind, d, monkeypatch):
+        mu, r = _sweep_fixture(kind, d)
+        expected, cells = _corner_oracle(mu, r)
+        if kind == "chunks":
+            # one outer breakpoint row per chunk
+            monkeypatch.setattr(entropy, "_rows_per_chunk", lambda n: 1)
+        rep = avg_entropy(mu, r)
+        assert (rep.method, rep.offsets_used, rep.error_bound) == ("exact", cells, 1e-10)
+        assert abs(rep.value - expected) <= 1e-12
+
+    def test_fixtures_hit_ties_and_grid_lines(self):
+        for d in (1, 2, 3):
+            mu, r = _sweep_fixture("ties", d)
+            _, thr = entropy._breakpoints(mu.points / np.asarray(r))
+            assert np.unique(thr[:, -1], return_counts=True)[1].max() >= 3
+            assert np.all(thr < 1.0)
+            mu, r = _sweep_fixture("grid-lines", d)
+            _, thr = entropy._breakpoints(mu.points / np.asarray(r))
+            assert np.any(thr == 1.0, axis=0).all()
 
 
 class TestAvgCondEntropy:
