@@ -19,7 +19,8 @@ mass of cell c and T the total mass.  Along u_d a cell's mass changes only
 where one of its atoms enters or leaves, so sorting each row's 2n
 enter/leave thresholds by cell gives every piece at once.
 Its only error is float rounding.  A quasi-random fallback averages over a
-low-discrepancy offset set when the breakpoint product is out of budget.
+low-discrepancy offset set, bconv's own scrambled Sobol points, when the
+breakpoint product is out of budget.
 
 Every cell decision is a floor of a scaled coordinate, and it is refused
 once that coordinate reaches 2^52 in magnitude: from there on doubles are
@@ -33,6 +34,7 @@ probability measure.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -66,6 +68,28 @@ _CODE_LIMIT = 2**62
 # Values closer than this to a cell boundary (in key units) get nudged.
 _HAZARD_TOL = 2.0**-45
 _HAZARD_SHIFT = 2.0**-44
+# The QMC kernel numbers every atom's 2^d candidate cells; past this it refuses.
+_CANDIDATE_LIMIT = 1 << 22
+
+# Sobol' sequence for QMC offsets: Joe & Kuo's primitive polynomials and
+# initial direction numbers (new-joe-kuo-6.21201) for axes 2..32, as in
+# scipy's qmc.Sobol table; axis 1 needs none.  Points have 30 bits.
+_SOBOL_BITS = 30
+_SOBOL_POLY = (
+    3, 7, 11, 13, 19, 25, 37, 41, 47, 55, 59, 61, 67, 91, 97, 103,
+    109, 115, 131, 137, 143, 145, 157, 167, 171, 185, 191, 193, 203, 211, 213,
+)
+_SOBOL_VINIT = (
+    (1,), (1, 3), (1, 3, 1), (1, 1, 1), (1, 1, 3, 3), (1, 3, 5, 13), (1, 1, 5, 5, 17),
+    (1, 1, 5, 5, 5), (1, 1, 7, 11, 19), (1, 1, 5, 1, 1), (1, 1, 1, 3, 11), (1, 3, 5, 5, 31),
+    (1, 3, 3, 9, 7, 49), (1, 1, 1, 15, 21, 21), (1, 3, 1, 13, 27, 49), (1, 1, 1, 15, 7, 5),
+    (1, 3, 1, 15, 13, 25), (1, 1, 5, 5, 19, 61), (1, 3, 7, 11, 23, 15, 103),
+    (1, 3, 7, 13, 13, 15, 69), (1, 1, 3, 13, 7, 35, 63), (1, 3, 5, 9, 1, 25, 53),
+    (1, 3, 1, 13, 9, 35, 107), (1, 3, 1, 5, 27, 61, 31), (1, 1, 5, 11, 19, 41, 61),
+    (1, 3, 5, 3, 3, 13, 69), (1, 1, 7, 13, 1, 19, 1), (1, 3, 7, 5, 13, 19, 59),
+    (1, 1, 3, 9, 25, 29, 41), (1, 3, 5, 13, 23, 1, 55), (1, 3, 7, 3, 13, 59, 17),
+)
+_SOBOL_MAX_DIM = 1 + len(_SOBOL_POLY)
 
 
 @dataclass(frozen=True)
@@ -74,8 +98,11 @@ class QuadratureSpec:
 
     mode "exact" integrates the piecewise-constant integrand over its
     breakpoint cells; it refuses (rather than degrades) when the cell count
-    would exceed cell_budget.  mode "qmc" averages over `offsets` points of a
-    scrambled Sobol sequence seeded by `seed`.
+    would exceed cell_budget.  mode "qmc" averages over the first `offsets`
+    points of bconv's own scrambled Sobol sequence seeded by `seed`
+    (bit-identical to scipy's ``qmc.Sobol(d, scramble=True, seed=seed)``),
+    in dimension d <= 32.  Its error bound compares block means, so at least
+    two offsets are required; a power of two keeps Sobol's balance.
     """
 
     mode: str = "exact"
@@ -86,8 +113,8 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.mode not in ("exact", "qmc"):
             raise ValueError("quadrature mode must be 'exact' or 'qmc'")
-        if self.offsets < 1:
-            raise ValueError("offset count must be positive")
+        if self.offsets < 2:
+            raise ValueError("QMC quadrature needs at least two offsets for its block error estimate")
         if self.cell_budget < 1:
             raise ValueError("cell budget must be positive")
 
@@ -330,8 +357,12 @@ def _breakpoints(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _rows_per_chunk(n: int) -> int:
-    """Offset rows per batch, so a batch holds about 2^21 atom keys."""
-    return max(1, (1 << 21) // max(1, n))
+    """Offset rows of n keys each per batch, so a batch holds about 2^16 keys.
+
+    Batches this small stay in cache; at 2^21 keys both quadrature kernels
+    ran up to 3x slower and faulted in fresh pages for every batch.
+    """
+    return max(1, (1 << 16) // max(1, n))
 
 
 def _cell_codes(base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -354,49 +385,46 @@ def _offset_entropies(
 ) -> np.ndarray:
     """Entropy in bits of the grid partition at each offset row u of offsets.
 
-    Atom i lies in cell base[i] + (u >= thr[i]).
+    Atom i lies in cell base[i] + step with step_j = (u_j >= thr[i, j]), one
+    of its 2^d candidate cells.  The candidates of all atoms are numbered
+    once, in sorted code order, and lut[i, mask] is the number of atom i's
+    cell under the step whose bit j is step_j.  Each row's cell masses are
+    then one bincount, with no sort, and are summed in sorted code order.
     """
+    n, d = base.shape
+    if n << d > _CANDIDATE_LIMIT:
+        raise BudgetExceededError(
+            f"QMC quadrature needs {n} atoms x 2^{d} candidate cells, limit is 2^22"
+        )
     base_codes, strides = _cell_codes(base)
-    n = base.shape[0]
+    steps = (np.arange(1 << d)[:, None] >> np.arange(d)) & 1
+    cells, lut = np.unique(base_codes[:, None] + steps @ strides, return_inverse=True)
+    lut = lut.ravel()
+    u = len(cells)
     q = offsets.shape[0]
     values = np.empty(q)
-    chunk = _rows_per_chunk(n)
+    chunk = _rows_per_chunk(max(n, u))
+    w = np.tile(weights, min(chunk, q))
+    first = np.arange(n) << d  # where atom i's row starts in the flat lut
     for start in range(0, q, chunk):
         off = offsets[start : start + chunk]
-        codes = np.empty((off.shape[0], n), dtype=np.int64)
-        codes[:] = base_codes
-        for j, stride in enumerate(strides):
-            codes += (off[:, j, None] >= thr[:, j]) * stride
-        values[start : start + off.shape[0]] = _cell_entropies(codes, weights, total)
+        k = off.shape[0]
+        mask = first + (off[:, 0, None] >= thr[:, 0])
+        for j in range(1, d):
+            mask += (off[:, j, None] >= thr[:, j]) << j
+        cell = lut[mask]
+        cell += (np.arange(k) * u)[:, None]
+        g = np.bincount(cell.ravel(), weights=w[: k * n], minlength=k * u)
+        full = g > 0.0
+        rows = np.flatnonzero(full) // u
+        contrib = _g_log_g(g[full], total)
+        values[start : start + k] = -np.bincount(rows, weights=contrib, minlength=k) / total
     return values
 
 
 def _g_log_g(g: np.ndarray, total: float) -> np.ndarray:
     """g log2(g / total), taken as 0 wherever g <= 0, with no log of 0."""
     return g * np.log2(np.where(g > 0.0, g, total) / total)
-
-
-def _cell_entropies(codes: np.ndarray, weights: np.ndarray, total: float) -> np.ndarray:
-    """Entropies of many grouped-weight configurations at once.
-
-    codes has one row per cell and one column per atom; row r is grouped by
-    equal values and its entropy returned in bits.
-    """
-    m, n = codes.shape
-    order = np.argsort(codes, axis=1, kind="stable")
-    sc = np.take_along_axis(codes, order, axis=1)
-    sw = weights[order]
-    cw = np.cumsum(sw, axis=1)
-    ends = np.ones(sc.shape, dtype=bool)
-    ends[:, :-1] = sc[:, 1:] != sc[:, :-1]
-    rows, cols = np.nonzero(ends)  # row-major order
-    cw_ends = cw[rows, cols]
-    prev = np.concatenate(([0.0], cw_ends[:-1]))
-    first = np.ones(len(rows), dtype=bool)
-    first[1:] = rows[1:] != rows[:-1]
-    prev[first] = 0.0
-    contrib = _g_log_g(cw_ends - prev, total)
-    return -np.bincount(rows, weights=contrib, minlength=m) / total
 
 
 def _sweep_last_axis(
@@ -485,12 +513,64 @@ def _avg_entropy_exact(
     return -math.fsum(parts) / total, n_cells
 
 
-def _sobol_offsets(d: int, count: int, seed: int) -> np.ndarray:
-    """The first count points of scrambled Sobol in [0, 1)^d, fixed by the seed."""
-    from scipy.stats import qmc
+@functools.cache
+def _sobol_directions() -> np.ndarray:
+    """Direction numbers of Sobol axes 1..32 as 30-bit uint32, one row per axis.
 
-    sampler = qmc.Sobol(d=d, scramble=True, seed=seed)
-    return sampler.random(count)
+    Column j of an axis is v_j 2^(29-j): v_0..v_{m-1} are its initial
+    numbers, each later v_j follows the recurrence of its primitive
+    polynomial of degree m, and axis 1 has v_j = 1 throughout.
+    """
+    rows = [[1] * _SOBOL_BITS]
+    for poly, init in zip(_SOBOL_POLY, _SOBOL_VINIT):
+        m = len(init)
+        v = list(init)
+        for j in range(m, _SOBOL_BITS):
+            new = v[j - m]
+            for k in range(m):
+                if (poly >> (m - 1 - k)) & 1:
+                    new ^= v[j - k - 1] << (k + 1)
+            v.append(new)
+        rows.append(v)
+    return np.array(rows, dtype=np.uint32) << np.arange(_SOBOL_BITS - 1, -1, -1, dtype=np.uint32)
+
+
+def _sobol_offsets(d: int, count: int, seed: int) -> np.ndarray:
+    """The first count points of scrambled Sobol in [0, 1)^d, fixed by the seed.
+
+    Each axis's direction numbers are scrambled by a random unit lower-
+    triangular matrix over GF(2) acting on their bits from the top, and
+    every point is XORed with a random digital shift (Matousek's linear
+    matrix scramble plus shift).  Both are drawn from default_rng(seed) in
+    scipy's order, shift bits first, so the points equal those of scipy's
+    ``qmc.Sobol(d, scramble=True, seed=seed).random(count)`` bit for bit.
+    Point k is the shift XOR the direction columns indexed by the trailing
+    zeros of 1..k (Gray-code order).
+    """
+    if d > _SOBOL_MAX_DIM:
+        raise ValueError(f"QMC offsets are tabulated for dimension <= {_SOBOL_MAX_DIM}, not {d}")
+    if count > 1 << _SOBOL_BITS:
+        raise ValueError(f"QMC offsets are limited to 2^{_SOBOL_BITS} points")
+    if count & (count - 1):
+        warnings.warn(
+            f"{count} QMC offsets: the balance properties of Sobol' points "
+            "require n to be a power of 2",
+            stacklevel=2,
+        )
+    rng = np.random.default_rng(seed)
+    bits = np.arange(_SOBOL_BITS, dtype=np.uint32)
+    shift = rng.integers(2, size=(d, _SOBOL_BITS), dtype=np.uint32) @ (np.uint32(1) << bits)
+    ltm = np.tril(rng.integers(2, size=(d, _SOBOL_BITS, _SOBOL_BITS), dtype=np.uint32))
+    ltm[:, bits, bits] = 1
+    top = bits[::-1]  # bit k from the top is bit 29 - k
+    v = (_sobol_directions()[:d, :, None] >> top) & 1
+    sv = ((np.einsum("apk,ajk->ajp", ltm, v) & 1) << top).sum(axis=2, dtype=np.uint32)
+    k = np.arange(1, count)
+    ctz = np.frexp(k & -k)[1] - 1
+    points = np.empty((count, d), dtype=np.uint32)
+    points[:1] = shift
+    points[1:] = shift ^ np.bitwise_xor.accumulate(sv[:, ctz].T, axis=0)
+    return points * 2.0**-_SOBOL_BITS
 
 
 def _avg_entropy_qmc(
@@ -501,12 +581,9 @@ def _avg_entropy_qmc(
         return 0.0, 0.0
     base, thr = _breakpoints(points / r)
     values = _offset_entropies(base, thr, weights, float(weights.sum()), offsets)
-    value = float(values.mean())
-    q = offsets.shape[0]
-    blocks = np.array_split(values, min(8, q))
-    bm = np.array([b.mean() for b in blocks])
-    err = float(bm.std(ddof=1) / math.sqrt(len(bm))) if len(bm) > 1 else float("nan")
-    return value, err
+    # Standard error over up to eight block means; QuadratureSpec ensures two.
+    bm = np.array([b.mean() for b in np.array_split(values, min(8, len(values)))])
+    return float(values.mean()), float(bm.std(ddof=1) / math.sqrt(len(bm)))
 
 
 def avg_entropy(

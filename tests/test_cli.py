@@ -361,6 +361,22 @@ class TestExitCodes:
         assert dispatch([*cmd, *flags]) == 1
         assert named in capsys.readouterr().err
 
+    def test_single_qmc_offset_is_exit_1(self, capsys):
+        # one offset leaves the block error estimate undefined
+        argv = ["avg-entropy", "--measure", str(PAIR_CSV), "--r", "0.1", "--quad", "qmc"]
+        assert dispatch([*argv, "--offsets", "1"]) == 1
+        out = capsys.readouterr()
+        assert "two offsets" in out.err and out.out == ""
+
+    def test_qmc_dimension_33_is_exit_1(self, tmp_path, capsys):
+        # the Sobol direction numbers are tabulated for 32 axes
+        csv = tmp_path / "d33.csv"
+        header = ",".join(f"x{j}" for j in range(1, 34))
+        csv.write_text(f"{header},w\n" + ",".join(["0.0"] * 33) + ",0.5\n" + ",".join(["0.3"] * 33) + ",0.5\n")
+        argv = ["avg-entropy", "--measure", str(csv), "--r", "1.0", "--quad", "qmc", "--offsets", "16"]
+        assert dispatch(argv) == 1
+        assert "dimension <= 32" in capsys.readouterr().err
+
     def test_cell_budget_flag_is_gone(self, capsys):
         argv = ["avg-entropy", "--measure", str(PAIR_CSV), "--r", "0.37", "--cell-budget", "1"]
         assert dispatch(argv) == 1

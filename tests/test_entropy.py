@@ -2,6 +2,11 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +27,9 @@ from bconv.entropy import (
 from bconv.errors import BoundaryHazardWarning, BudgetExceededError
 from bconv.measures import delta, from_atoms
 from bconv.scales import ScaleVector
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+PAIR_CSV = Path(__file__).parent / "data" / "pair.csv"
 
 
 def _uniform(points):
@@ -248,6 +256,8 @@ class TestAvgEntropy:
             QuadratureSpec(mode="midpoint")
         with pytest.raises(ValueError):
             QuadratureSpec(offsets=0)
+        with pytest.raises(ValueError, match="two offsets"):
+            QuadratureSpec(mode="qmc", offsets=1)
         with pytest.raises(ValueError):
             QuadratureSpec(cell_budget=0)
 
@@ -315,6 +325,102 @@ class TestExactSweep:
             mu, r = _sweep_fixture("grid-lines", d)
             _, thr = entropy._breakpoints(mu.points / np.asarray(r))
             assert np.any(thr == 1.0, axis=0).all()
+
+
+def _sort_kernel_entropies(base, thr, weights, total, offsets):
+    """The per-offset sort kernel that the candidate-cell kernel replaced:
+    key every atom at every offset row, sort each row's codes and sum
+    g log g over its runs of equal codes."""
+    base_codes, strides = entropy._cell_codes(base)
+    codes = np.empty((offsets.shape[0], base.shape[0]), dtype=np.int64)
+    codes[:] = base_codes
+    for j, stride in enumerate(strides):
+        codes += (offsets[:, j, None] >= thr[:, j]) * stride
+    order = np.argsort(codes, axis=1, kind="stable")
+    sc = np.take_along_axis(codes, order, axis=1)
+    cw = np.cumsum(weights[order], axis=1)
+    ends = np.ones(sc.shape, dtype=bool)
+    ends[:, :-1] = sc[:, 1:] != sc[:, :-1]
+    rows, cols = np.nonzero(ends)  # row-major order
+    cw_ends = cw[rows, cols]
+    prev = np.concatenate(([0.0], cw_ends[:-1]))
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = rows[1:] != rows[:-1]
+    prev[first] = 0.0
+    contrib = entropy._g_log_g(cw_ends - prev, total)
+    return -np.bincount(rows, weights=contrib, minlength=codes.shape[0]) / total
+
+
+class TestQmcKernel:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["ties", "grid-lines", "negative", "mass", "chunks"])
+    def test_matches_sort_kernel(self, kind, d, monkeypatch):
+        mu, r = _sweep_fixture(kind, d)
+        base, thr = entropy._breakpoints(mu.points / np.asarray(r))
+        # Sobol points, plus rows that sit exactly on atom thresholds so
+        # that u_j >= thr is decided at equality
+        offsets = np.vstack((entropy._sobol_offsets(d, 256, 3), np.where(thr < 1.0, thr, 0.0)))
+        if kind == "chunks":
+            monkeypatch.setattr(entropy, "_rows_per_chunk", lambda n: 7)
+        w, total = mu.weights, mu.mass
+        got = entropy._offset_entropies(base, thr, w, total, offsets)
+        want = _sort_kernel_entropies(base, thr, w, total, offsets)
+        assert np.abs(got - want).max() <= 1e-12
+
+    def test_refuses_oversized_candidate_table(self):
+        # two atoms in dimension 22 have 2 * 2^22 candidate cells
+        mu = _uniform([(0.0,) * 22, (0.3,) * 22])
+        with pytest.raises(BudgetExceededError, match="candidate cells"):
+            avg_entropy(mu, 1.0, QuadratureSpec(mode="qmc", offsets=16))
+
+
+class TestSobolOffsets:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 7, 16, 32])
+    def test_bit_identical_to_scipy(self, d):
+        from scipy.stats import qmc  # the oracle only; bconv does not import it
+
+        for seed in (0, 1, 42, 300, 301):
+            for count in (1, 2, 3, 5, 16, 100, 1024, 2048, 4096):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)
+                    want = qmc.Sobol(d, scramble=True, seed=seed).random(count)
+                    got = entropy._sobol_offsets(d, count, seed)
+                assert got.dtype == want.dtype and np.array_equal(got, want), (seed, count)
+
+    def test_refuses_dimension_33(self):
+        with pytest.raises(ValueError, match="dimension <= 32"):
+            entropy._sobol_offsets(33, 16, 0)
+
+    def test_non_power_of_two_warns_at_caller(self):
+        with pytest.warns(UserWarning, match="power of 2") as rec:
+            entropy._sobol_offsets(2, 100, 0)
+        assert rec[0].filename == __file__
+
+    @pytest.mark.parametrize("count", [16, 2048])
+    def test_power_of_two_is_silent(self, count):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            entropy._sobol_offsets(2, count, 0)
+
+    def test_qmc_cli_never_imports_scipy_stats(self):
+        code = (
+            "import sys\n"
+            "from bconv.cli import dispatch\n"
+            f"argv = ['avg-entropy', '--measure', {str(PAIR_CSV)!r}, '--r', '0.37',\n"
+            "        '--quad', 'qmc', '--offsets', '64', '--seed', '3']\n"
+            "assert dispatch(argv) == 0\n"
+            "print('scipy.stats' in sys.modules)\n"
+        )
+        path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+        res = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        assert res.stdout.strip().splitlines()[-1] == "False"
 
 
 class TestAvgCondEntropy:
