@@ -25,7 +25,7 @@ from bconv.entropy import (
     trivial,
 )
 from bconv.errors import BoundaryHazardWarning, BudgetExceededError
-from bconv.measures import delta, from_atoms
+from bconv.measures import DiscreteMeasure, delta, from_atoms
 from bconv.scales import ScaleVector
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -327,30 +327,6 @@ class TestExactSweep:
             assert np.any(thr == 1.0, axis=0).all()
 
 
-def _sort_kernel_entropies(base, thr, weights, total, offsets):
-    """The per-offset sort kernel that the candidate-cell kernel replaced:
-    key every atom at every offset row, sort each row's codes and sum
-    g log g over its runs of equal codes."""
-    base_codes, strides = entropy._cell_codes(base)
-    codes = np.empty((offsets.shape[0], base.shape[0]), dtype=np.int64)
-    codes[:] = base_codes
-    for j, stride in enumerate(strides):
-        codes += (offsets[:, j, None] >= thr[:, j]) * stride
-    order = np.argsort(codes, axis=1, kind="stable")
-    sc = np.take_along_axis(codes, order, axis=1)
-    cw = np.cumsum(weights[order], axis=1)
-    ends = np.ones(sc.shape, dtype=bool)
-    ends[:, :-1] = sc[:, 1:] != sc[:, :-1]
-    rows, cols = np.nonzero(ends)  # row-major order
-    cw_ends = cw[rows, cols]
-    prev = np.concatenate(([0.0], cw_ends[:-1]))
-    first = np.ones(len(rows), dtype=bool)
-    first[1:] = rows[1:] != rows[:-1]
-    prev[first] = 0.0
-    contrib = entropy._g_log_g(cw_ends - prev, total)
-    return -np.bincount(rows, weights=contrib, minlength=codes.shape[0]) / total
-
-
 class TestQmcKernel:
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("kind", ["ties", "grid-lines", "negative", "mass", "chunks"])
@@ -361,17 +337,49 @@ class TestQmcKernel:
         # that u_j >= thr is decided at equality
         offsets = np.vstack((entropy._sobol_offsets(d, 256, 3), np.where(thr < 1.0, thr, 0.0)))
         if kind == "chunks":
-            monkeypatch.setattr(entropy, "_rows_per_chunk", lambda n: 7)
+            monkeypatch.setattr(entropy, "_rows_per_chunk", lambda n, keys=None: 7)
         w, total = mu.weights, mu.mass
         got = entropy._offset_entropies(base, thr, w, total, offsets)
-        want = _sort_kernel_entropies(base, thr, w, total, offsets)
+        want = entropy._sorted_offset_entropies(base, thr, w, total, offsets)
         assert np.abs(got - want).max() <= 1e-12
 
-    def test_refuses_oversized_candidate_table(self):
-        # two atoms in dimension 22 have 2 * 2^22 candidate cells
+    @pytest.fixture
+    def sort_calls(self, monkeypatch):
+        calls = []
+        kernel = entropy._sorted_offset_entropies
+
+        def spy(*args):
+            calls.append(args[0].shape)
+            return kernel(*args)
+
+        monkeypatch.setattr(entropy, "_sorted_offset_entropies", spy)
+        return calls
+
+    def test_few_atoms_in_dimension_22_are_answered(self, sort_calls):
+        # two atoms in dimension 22 have 2 * 2^22 candidate cells, past the
+        # table limit; they share a cell unless some u_j >= 0.7
         mu = _uniform([(0.0,) * 22, (0.3,) * 22])
-        with pytest.raises(BudgetExceededError, match="candidate cells"):
-            avg_entropy(mu, 1.0, QuadratureSpec(mode="qmc", offsets=16))
+        rep = avg_entropy(mu, 1.0, QuadratureSpec(mode="qmc", offsets=16))
+        offsets = entropy._sobol_offsets(22, 16, 0)
+        assert rep.method == "qmc" and rep.offsets_used == 16
+        assert rep.value == pytest.approx(np.mean(np.any(offsets >= 0.7, axis=1)), abs=1e-12)
+        assert sort_calls == [(2, 22)]
+
+    def test_more_than_2_pow_21_atoms_in_one_dimension_are_answered(self, sort_calls):
+        n = (1 << 21) + 1
+        x = np.random.default_rng(21).uniform(0.0, n / 4.0, n)  # about 4 atoms a cell
+        mu = DiscreteMeasure(x[:, None], np.full(n, 1.0 / n))
+        rep = avg_entropy(mu, 1.0, QuadratureSpec(mode="qmc", offsets=2))
+        assert rep.method == "qmc" and rep.offsets_used == 2
+        assert sort_calls == [(n, 1)]
+        # each offset's partition entropy straight from the cell rule
+        y = mu.points[:, 0]
+        h = []
+        for u in entropy._sobol_offsets(1, 2, 0)[:, 0]:
+            cell = np.floor(y) + (u >= 1.0 - (y - np.floor(y)))
+            p = np.bincount(np.unique(cell, return_inverse=True)[1], weights=mu.weights) / mu.mass
+            h.append(-np.sum(p * np.log2(p)))
+        assert rep.value == pytest.approx(np.mean(h), abs=1e-9)
 
 
 class TestSobolOffsets:
@@ -391,9 +399,18 @@ class TestSobolOffsets:
         with pytest.raises(ValueError, match="dimension <= 32"):
             entropy._sobol_offsets(33, 16, 0)
 
-    def test_non_power_of_two_warns_at_caller(self):
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda q: entropy._sobol_offsets(2, q.offsets, q.seed),
+            lambda q: avg_entropy(_uniform([(0.0, 0.0), (0.3, 0.6)]), 0.5, q),
+            lambda q: avg_cond_entropy(_uniform([(0.0, 0.0), (0.3, 0.6)]), 0.25, 0.5, q),
+        ],
+        ids=["sobol", "avg_entropy", "avg_cond_entropy"],
+    )
+    def test_non_power_of_two_warns_at_caller(self, call):
         with pytest.warns(UserWarning, match="power of 2") as rec:
-            entropy._sobol_offsets(2, 100, 0)
+            call(QuadratureSpec(mode="qmc", offsets=100))
         assert rec[0].filename == __file__
 
     @pytest.mark.parametrize("count", [16, 2048])
