@@ -149,8 +149,15 @@ def _sympy_poly(poly: IntPolynomial):
 
 
 def _is_irreducible(poly: IntPolynomial) -> bool:
+    """Irreducibility over Q; degrees 1 and 2 are decided without sympy."""
     if poly.degree < 1:
         return False
+    if poly.degree == 1:
+        return True
+    if poly.degree == 2:  # a rational root exists iff the discriminant is a square
+        c, b, a = poly.coeffs
+        disc = b * b - 4 * a * c
+        return disc < 0 or math.isqrt(disc) ** 2 != disc
     factors = _sympy_poly(poly.primitive()).factor_list()[1]
     return len(factors) == 1 and factors[0][1] == 1
 

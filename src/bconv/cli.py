@@ -83,6 +83,14 @@ def _parse_range(text: str) -> list[int]:
     return [int(text)]
 
 
+def _parse_one(text: str) -> int:
+    """The value of a single-valued --n; a range is refused."""
+    values = _parse_range(text)
+    if len(values) != 1:
+        raise ValueError(f"--n takes one value for this command, not the range {text}")
+    return values[0]
+
+
 def _parse_floats(text: str) -> tuple[float, ...]:
     return tuple(float(v) for v in text.split(","))
 
@@ -183,7 +191,7 @@ def _cmd_dim(args) -> dict:
 def _cmd_entropy(args) -> dict:
     mu = read_atoms_csv(args.measure)
     lam = _lam_from_args(args)
-    (n,) = _parse_range(args.n)
+    n = _parse_one(args.n)
     value = ent.partition_entropy(mu, ent.en(n, lam))
     return {"value": value, "n": n, "method": "partition"}
 
@@ -229,7 +237,7 @@ def _cmd_rw_entropy(args) -> dict:
 
 def _cmd_overlap(args) -> dict:
     spec = load_system_spec(args.spec)
-    (n_max,) = _parse_range(args.n)
+    n_max = _parse_one(args.n)
     rep = exact_overlap_depth(spec, n_max, **_budget_kw(args))
     return {
         "per_axis": list(rep.per_axis),
@@ -240,7 +248,7 @@ def _cmd_overlap(args) -> dict:
 
 def _cmd_separation(args) -> dict:
     spec = load_system_spec(args.spec)
-    (n_max,) = _parse_range(args.n)
+    n_max = _parse_one(args.n)
     rep = sa.separation_profile(spec, n_max, **_budget_kw(args))
     rows = []
     for n in range(1, n_max + 1):
@@ -282,7 +290,7 @@ def _cmd_nonsat(args) -> dict:
 def _cmd_decompose(args) -> dict:
     nu = read_atoms_csv(args.measure)
     lam = _lam_from_args(args)
-    (n,) = _parse_range(args.n)
+    n = _parse_one(args.n)
     out = dec.bernoulli_decompose(nu, lam, n, args.big_n, args.eps)
     rows = []
     for p in out.pairs:
@@ -368,7 +376,7 @@ def _cmd_poly_search(args) -> dict:
 
 def _cmd_approx(args) -> dict:
     spec = load_system_spec(args.spec)
-    (n,) = _parse_range(args.n)
+    n = _parse_one(args.n)
     rep = approximate_parameters(spec.lam.entries, n, spec.axis_difference_sets(), args.top_k)
     rows = []
     for a in rep.axes:

@@ -36,14 +36,13 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import BoundaryHazardWarning, BudgetExceededError
+from .errors import BoundaryHazardWarning, BudgetExceededError, _warn_at_caller
 from .measures import DiscreteMeasure
 from .scales import ScaleVector, _as_scale, dyadic_levels
 
@@ -173,11 +172,10 @@ class Keying:
             out[:, c], h = _floor_keys(points[:, col.axis] / col.scale + col.offset)
             hazards += h
         if hazards:
-            warnings.warn(
+            _warn_at_caller(
                 f"{hazards} atom coordinate(s) within 2^-45 of a cell boundary; "
                 "shifted by +2^-44 before flooring",
                 BoundaryHazardWarning,
-                stacklevel=2,
             )
         return out
 
@@ -568,10 +566,6 @@ def _sobol_directions() -> np.ndarray:
     return np.array(rows, dtype=np.uint32) << np.arange(_SOBOL_BITS - 1, -1, -1, dtype=np.uint32)
 
 
-def _in_bconv(frame) -> bool:
-    return frame.f_globals.get("__name__", "").partition(".")[0] == __name__.partition(".")[0]
-
-
 def _sobol_offsets(d: int, count: int, seed: int) -> np.ndarray:
     """The first count points of scrambled Sobol in [0, 1)^d, fixed by the seed.
 
@@ -589,15 +583,9 @@ def _sobol_offsets(d: int, count: int, seed: int) -> np.ndarray:
     if count > 1 << _SOBOL_BITS:
         raise ValueError(f"QMC offsets are limited to 2^{_SOBOL_BITS} points")
     if count & (count - 1):
-        # Point the warning at the first frame outside bconv, however deep
-        # the public entry point (avg_entropy, avg_cond_entropy, increase).
-        level, frame = 1, sys._getframe()
-        while frame.f_back is not None and _in_bconv(frame):
-            level, frame = level + 1, frame.f_back
-        warnings.warn(
+        _warn_at_caller(
             f"{count} QMC offsets: the balance properties of Sobol' points "
-            "require n to be a power of 2",
-            stacklevel=level,
+            "require n to be a power of 2"
         )
     rng = np.random.default_rng(seed)
     bits = np.arange(_SOBOL_BITS, dtype=np.uint32)

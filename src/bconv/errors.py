@@ -1,4 +1,7 @@
-"""Shared error and warning types."""
+"""Shared error and warning types, and the one rule for where warnings point."""
+
+import sys
+import warnings
 
 
 class BudgetExceededError(RuntimeError):
@@ -15,3 +18,15 @@ class BoundaryHazardWarning(UserWarning):
     The affected coordinates were shifted by +2^-44 (in key units) before
     flooring, so ties resolve deterministically upward.
     """
+
+
+def _warn_at_caller(message: str, category: type[Warning] = UserWarning) -> None:
+    """Warn at the first frame outside bconv, so the warning names the
+    caller's line however deep the public entry point that led here."""
+    package = __name__.partition(".")[0]
+    level, frame = 1, sys._getframe()
+    while frame.f_back is not None:
+        if frame.f_globals.get("__name__", "").partition(".")[0] != package:
+            break
+        level, frame = level + 1, frame.f_back
+    warnings.warn(message, category, stacklevel=level)

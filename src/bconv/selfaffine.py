@@ -17,15 +17,14 @@ polynomials is refused there.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import entropy as ent
-from .algebraic import AlgebraicNumber, IntPolynomial, _word_states
-from .errors import BudgetExceededError
+from .algebraic import AlgebraicNumber, IntPolynomial, _is_irreducible, _word_states
+from .errors import BudgetExceededError, _warn_at_caller
 from .measures import DiscreteMeasure, ScaleBy, convolve, pushforward
 from .scales import ScaleVector, _as_scale, validate_contraction_vector
 
@@ -92,6 +91,8 @@ class SystemSpec:
                 scale = sum(abs(c) for c in p.coeffs)
                 if abs(p(lam[j])) > 1e-6 * scale:
                     raise ValueError(f"minpoly for axis {j + 1} does not vanish at lambda")
+                if not _is_irreducible(p):
+                    raise ValueError(f"minpoly for axis {j + 1} is reducible over Q")
                 mps.append(p)
             if len(mps) != d:
                 raise ValueError("one minimal polynomial per axis is required")
@@ -135,6 +136,25 @@ class SystemSpec:
 # ---------------------------------------------------------------------------
 
 
+def _level_measures(spec: SystemSpec, n: int, budget: int):
+    """Yield the merged level-k measures for k = 0..n (see build_level_n)."""
+    if n < 0:
+        raise ValueError("level must be nonnegative")
+    if spec.n_maps**n > budget:
+        raise BudgetExceededError(
+            f"level {n} enumerates {spec.n_maps**n} words, budget is {budget}"
+        )
+    lam = spec.lam.as_array()
+    a = np.asarray(spec.translations, dtype=np.float64)  # (k, d)
+    mu = DiscreteMeasure(np.zeros((1, spec.dim)), np.ones(1))
+    yield mu
+    lam_pow = np.ones(spec.dim)
+    for _k in range(n):
+        mu = convolve(DiscreteMeasure(a * lam_pow, spec.probs), mu)
+        lam_pow = lam_pow * lam
+        yield mu
+
+
 def build_level_n(
     spec: SystemSpec,
     n: int,
@@ -150,19 +170,8 @@ def build_level_n(
     word states (see rw_entropy_upper).  Refuses, before building anything,
     when the pre-merge atom count would exceed the budget.
     """
-    if n < 0:
-        raise ValueError("level must be nonnegative")
-    if spec.n_maps**n > budget:
-        raise BudgetExceededError(
-            f"level {n} enumerates {spec.n_maps**n} words, budget is {budget}"
-        )
-    lam = spec.lam.as_array()
-    a = np.asarray(spec.translations, dtype=np.float64)  # (k, d)
-    mu = DiscreteMeasure(np.zeros((1, spec.dim)), np.ones(1))
-    lam_pow = np.ones(spec.dim)
-    for _k in range(n):
-        mu = convolve(DiscreteMeasure(a * lam_pow, spec.probs), mu)
-        lam_pow = lam_pow * lam
+    for mu in _level_measures(spec, n, budget):
+        pass
     return mu
 
 
@@ -252,11 +261,7 @@ def kappa_estimate(
     if n < 1:
         raise ValueError("kappa estimate needs n >= 1")
     if n == 1:
-        warnings.warn(
-            "kappa at n = 1 reflects the digit distribution, not the measure",
-            UserWarning,
-            stacklevel=2,
-        )
+        _warn_at_caller("kappa at n = 1 reflects the digit distribution, not the measure")
     mu = build_level_n(spec, n, budget)
     h = ent.partition_entropy(mu, ent.en(n, spec.lam))
     return KappaReport(n, h, h / n)
@@ -379,10 +384,10 @@ def non_saturation_profile(
 class SeparationProfile:
     """Minimal gaps between level-n word values.
 
-    per_axis[n-1][j] is the smallest |difference| of axis-j values over
-    distinct words of length n (0.0 flags an exact float collision), and
-    gap_rate is its n-th root.  joint[n-1] is the Euclidean analogue for
-    d >= 2, None in dimension one.
+    per_axis[n-1][j] is the smallest |difference| of axis-j values over the
+    atoms of the merged level-n measure, and gap_rate is its n-th root.
+    joint[n-1] is the Euclidean analogue for d >= 2, None in dimension one.
+    0.0 flags a bit-equal float collision, not an exact coincidence.
     """
 
     n_max: int
@@ -396,40 +401,31 @@ def separation_profile(
 ) -> SeparationProfile:
     """Scan minimal word-value gaps for n = 1..n_max.
 
-    Word values are enumerated without merging, sorted per axis, and scanned
-    for nearest neighbors; in d >= 2 a KD-tree reports the joint Euclidean
-    gap.  Exact coincidences appear as gaps at or below float rounding.
+    A level of build_level_n with fewer atoms than its k^n words had a
+    bit-equal float collision and reports 0.0 everywhere; otherwise its atoms
+    are the word values, sorted per axis, and in d >= 2 a KD-tree gives the
+    joint Euclidean gap.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    if spec.n_maps**n_max > budget:
-        raise BudgetExceededError(
-            f"separation scan enumerates {spec.n_maps**n_max} words, budget is {budget}"
-        )
     d = spec.dim
-    lam = spec.lam.as_array()
-    a = np.asarray(spec.translations, dtype=np.float64)
-
     per_axis = []
     rates = []
     joint = []
-    pts = np.zeros((1, d))
-    lam_pow = np.ones(d)
-    for n in range(1, n_max + 1):
-        term = a * lam_pow
-        pts = (term[:, None, :] + pts[None, :, :]).reshape(-1, d)
-        lam_pow = lam_pow * lam
-        gaps = []
-        for j in range(d):
-            vals = np.sort(pts[:, j])
-            gaps.append(float(np.diff(vals).min()))
-        per_axis.append(tuple(gaps))
+    levels = _level_measures(spec, n_max, budget)
+    next(levels)  # level 0
+    for n, mu in enumerate(levels, start=1):
+        collided = mu.n_atoms < spec.n_maps**n
+        gaps = tuple(
+            0.0 if collided else float(np.diff(np.sort(mu.points[:, j])).min()) for j in range(d)
+        )
+        per_axis.append(gaps)
         rates.append(tuple(g ** (1.0 / n) if g > 0 else 0.0 for g in gaps))
-        if d >= 2:
+        if d >= 2 and not collided:
             from scipy.spatial import cKDTree
 
-            dist, _ = cKDTree(pts).query(pts, k=2)
+            dist, _ = cKDTree(mu.points).query(mu.points, k=2)
             joint.append(float(dist[:, 1].min()))
         else:
-            joint.append(None)
+            joint.append(0.0 if d >= 2 else None)
     return SeparationProfile(n_max, tuple(per_axis), tuple(rates), tuple(joint))

@@ -1,8 +1,11 @@
 """CLI plumbing tests: spec loading, one in-process run per subcommand,
 exit codes, output formats, and byte-identical reruns."""
 
+import importlib.util
 import json
+import os
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,6 +17,8 @@ DATA = Path(__file__).parent / "data"
 GOLDEN_SPEC = DATA / "golden-1d.json"
 THIRD_SPEC = DATA / "third-1d.json"
 PAIR_CSV = DATA / "pair.csv"
+SRC = Path(__file__).resolve().parent.parent / "src"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 # several fixtures put atoms exactly on dyadic cell boundaries; the nudge
 # warning is exercised on purpose in the entropy tests, not here
@@ -308,6 +313,52 @@ class TestExitCodes:
         assert dispatch(argv) == 1
         assert "top_k" in capsys.readouterr().err
 
+    def test_reducible_minpoly_is_exit_1(self, tmp_path, capsys):
+        # (x^2 + x - 1)(x - 3) vanishes at the golden lambda but is no minpoly
+        p = tmp_path / "reducible-golden.json"
+        p.write_text(
+            '{"lambda": [0.6180339887498949], '
+            '"maps": [{"a": [1], "p": 0.5}, {"a": [-1], "p": 0.5}], '
+            '"minpolys": [[3, -4, -2, 1]]}'
+        )
+        assert dispatch(["overlap", "--spec", str(p), "--n", "10"]) == 1
+        assert "reducible" in capsys.readouterr().err
+
+    def test_low_degree_minpolys_never_import_sympy(self):
+        code = (
+            "import sys\n"
+            "from bconv.cli import dispatch\n"
+            "for cmd in ('rw-entropy', 'overlap', 'separation'):\n"
+            f"    assert dispatch([cmd, '--spec', {str(GOLDEN_SPEC)!r}, '--n', '4']) == 0\n"
+            "print('sympy' in sys.modules, file=sys.stderr)\n"
+        )
+        path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+        res = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        assert res.stderr.strip().splitlines()[-1] == "False"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["entropy", "--measure", str(PAIR_CSV), "--lam", "0.5"],
+            ["overlap", "--spec", str(GOLDEN_SPEC)],
+            ["separation", "--spec", str(GOLDEN_SPEC)],
+            ["decompose", "--measure", str(PAIR_CSV), "--lam", "0.5", "--N", "1", "--eps", "0.1"],
+            ["approx", "--spec", str(GOLDEN_SPEC)],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_single_valued_n_refuses_range(self, argv, capsys):
+        assert dispatch([*argv, "--n", "3..5"]) == 1
+        err = capsys.readouterr().err
+        assert "--n takes one value" in err and "3..5" in err
+
     def test_dim_forwards_budget(self, capsys):
         assert dispatch(["dim", "--spec", str(THIRD_SPEC), "--n", "6", "--budget", "10"]) == 2
         assert "budget refused" in capsys.readouterr().err
@@ -475,3 +526,16 @@ class TestConsoleScript:
         )
         assert res.returncode == 0
         assert json.loads(res.stdout)["mahler"] == pytest.approx(1.618033988749895, abs=1e-7)
+
+
+class TestPinnedReports:
+    def test_separation_tri2d_matches_pinned_report(self, tmp_path):
+        # the benchmark's pinned report, checked here without a benchmark run
+        found = importlib.util.spec_from_file_location("perfbench_inputs", PERFBENCH / "inputs.py")
+        inputs = importlib.util.module_from_spec(found)
+        found.loader.exec_module(inputs)
+        path = tmp_path / "tri2d.json"
+        path.write_text(json.dumps(inputs.SPECS["tri2d"]))
+        got = run_json(["separation", "--spec", str(path), "--n", "10"], tmp_path)
+        pinned = json.loads((PERFBENCH / "pinned.json").read_text())
+        assert got == pinned["separation-tri2d"]

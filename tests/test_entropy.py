@@ -27,6 +27,7 @@ from bconv.entropy import (
 from bconv.errors import BoundaryHazardWarning, BudgetExceededError
 from bconv.measures import DiscreteMeasure, delta, from_atoms
 from bconv.scales import ScaleVector
+from bconv.selfaffine import SystemSpec, kappa_estimate, non_saturation_profile
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 PAIR_CSV = Path(__file__).parent / "data" / "pair.csv"
@@ -438,6 +439,26 @@ class TestSobolOffsets:
             check=True,
         )
         assert res.stdout.strip().splitlines()[-1] == "False"
+
+
+class TestWarningLocation:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: partition_entropy(_uniform([(0.0,), (0.3,)]), grid(0.5)),
+            lambda: non_saturation_profile(
+                _uniform([(0.0, 0.0), (0.5, 0.3)]), (0.5, 0.25), 0.1, 1, [1]
+            ),
+            lambda: kappa_estimate(SystemSpec((0.5,), ((1,), (-1,)), (0.5, 0.5)), 1),
+        ],
+        ids=["partition_entropy", "non_saturation_profile", "kappa_estimate"],
+    )
+    def test_warnings_point_at_caller(self, call):
+        # the same rule as the non-power-of-two Sobol warning: a keying
+        # nudge or the n = 1 kappa warning names the caller's line
+        with pytest.warns(UserWarning) as rec:
+            call()
+        assert [w.filename for w in rec] == [__file__] * len(rec)
 
 
 class TestAvgCondEntropy:

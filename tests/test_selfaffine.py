@@ -82,6 +82,24 @@ class TestSystemSpec:
         with pytest.raises(ValueError, match="does not vanish"):
             SystemSpec((0.5,), PM1, HALF, ((-1, 1, 1),))
 
+    @pytest.mark.parametrize(
+        "lam, poly",
+        [
+            # (x^2 + x - 1)(x - 3): kept apart words that agree at lambda, so
+            # the exact overlap depth read None and the walk bound 1 bit
+            (GOLDEN, (3, -4, -2, 1)),
+            (1.0 / 3.0, (-1, 2, 3)),  # (3x - 1)(x + 1), by the discriminant
+        ],
+        ids=["cubic", "quadratic"],
+    )
+    def test_reducible_minpoly_refused(self, lam, poly):
+        with pytest.raises(ValueError, match="reducible"):
+            SystemSpec((lam,), PM1, HALF, (poly,))
+
+    def test_imprimitive_irreducible_minpoly_accepted(self):
+        s = SystemSpec((GOLDEN,), PM1, HALF, ((-2, 2, 2),))
+        assert s.minpolys[0].coeffs == (-2, 2, 2)
+
     def test_minpoly_per_axis_count(self):
         with pytest.raises(ValueError, match="one minimal polynomial per axis"):
             SystemSpec((0.5, 0.25), ((1, 1), (-1, 0)), HALF, ((-1, 2),))
@@ -401,7 +419,53 @@ class TestNonSaturation:
             non_saturation_profile(mu, (0.5,), 0.0, 2, [1])
 
 
+def _unmerged_separation(spec, n_max):
+    """The separation scan over unmerged word values, one row per word."""
+    d = spec.dim
+    lam = spec.lam.as_array()
+    a = np.asarray(spec.translations, dtype=np.float64)
+    per_axis, rates, joint = [], [], []
+    pts = np.zeros((1, d))
+    lam_pow = np.ones(d)
+    for n in range(1, n_max + 1):
+        pts = ((a * lam_pow)[:, None, :] + pts[None, :, :]).reshape(-1, d)
+        lam_pow = lam_pow * lam
+        gaps = tuple(float(np.diff(np.sort(pts[:, j])).min()) for j in range(d))
+        per_axis.append(gaps)
+        rates.append(tuple(g ** (1.0 / n) if g > 0 else 0.0 for g in gaps))
+        if d >= 2:
+            from scipy.spatial import cKDTree
+
+            dist, _ = cKDTree(pts).query(pts, k=2)
+            joint.append(float(dist[:, 1].min()))
+        else:
+            joint.append(None)
+    return selfaffine.SeparationProfile(n_max, tuple(per_axis), tuple(rates), tuple(joint))
+
+
 class TestSeparation:
+    @pytest.mark.parametrize(
+        "spec, n_max",
+        [
+            (golden_spec(), 18),
+            (third_spec(), 14),
+            (SystemSpec((GOLDEN, 0.3819660112501051), ((0, 0), (1, 0), (0, 1)), (1 / 3,) * 3), 10),
+            (SystemSpec((0.61, 0.37), ((0, 0), (1, 0), (0, 1)), (0.2, 0.3, 0.5)), 9),
+            (
+                SystemSpec(
+                    (0.5, 0.3, 0.2),
+                    ((0, 0, 0), (1, 0, 1), (0, 1, -1), (1, 1, 2)),
+                    (0.25,) * 4,
+                ),
+                7,
+            ),
+        ],
+        ids=["golden", "third", "tri2d", "three-maps-2d", "four-maps-3d"],
+    )
+    def test_matches_unmerged_scan_bitwise(self, spec, n_max):
+        # golden and tri2d have bit-equal float collisions, the others none
+        assert separation_profile(spec, n_max) == _unmerged_separation(spec, n_max)
+
     def test_third_gaps_exact(self):
         # nearest distinct words at length n differ by 2 * 3^{-(n-1)}
         prof = separation_profile(third_spec(), 4)
