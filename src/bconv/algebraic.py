@@ -4,7 +4,9 @@ Exact arithmetic enters the package through this module.  Polynomials over Z
 are kept with constant term first.  An algebraic number is a primitive
 irreducible integer polynomial together with an exactly isolating rational
 interval; refinement is plain bisection with exact sign evaluation, so no
-floating-point step can silently cross a root.
+floating-point step can silently cross a root.  Mahler measures and disk
+root counts likewise rest on proofs: Weierstrass inclusion disks around float
+root estimates, computed in exact integer arithmetic.
 
 The small-value search looks for a nonzero polynomial of degree < n with
 coefficients in a given finite set minimizing |P(xi)|.  All strategies share
@@ -32,6 +34,7 @@ __all__ = [
     "IntPolynomial",
     "AlgebraicNumber",
     "reduce_mod_minpoly",
+    "MahlerMeasure",
     "mahler_measure",
     "count_roots_in_disk",
     "SearchResult",
@@ -44,6 +47,8 @@ __all__ = [
 ]
 
 _ROOT_AMBIGUITY_TOL = 1e-9
+_WEIERSTRASS_STEPS = 200
+_GRID_BITS_MAX = 1088  # about 320 decimal digits
 
 
 # ---------------------------------------------------------------------------
@@ -405,59 +410,194 @@ def _word_states(spec: "SystemSpec", n: int, budget: int) -> Iterator[tuple[np.n
 # ---------------------------------------------------------------------------
 
 
-def _certified_roots(poly: IntPolynomial, err_target: float):
-    """Complex roots of poly whose estimated max error is below err_target.
+def _ceil_sqrt(q: int) -> int:
+    return math.isqrt(q - 1) + 1 if q > 0 else 0
 
-    Precision escalates until the arbitrary-precision solver's own error
-    estimate meets the target.  That estimate comes from the solver's last
-    step, not from an enclosure, so the roots are not certified.  Zero roots
-    are stripped first (they never matter for Mahler measure, and the solver
-    dislikes them).
+
+def _distinct(centers: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Grid centers with each repeat moved diagonally, a unit at a time, until
+    all differ: the disk theorem needs distinct centers, and any distinct ones
+    are valid."""
+    seen: set[tuple[int, int]] = set()
+    out = []
+    for x, y in centers:
+        while (x, y) in seen:
+            x, y = x + 1, y + 1
+        seen.add((x, y))
+        out.append((x, y))
+    return out
+
+
+def _float_estimates(coeffs: list[int]) -> np.ndarray:
+    """np.roots estimates, or the Durand-Kerner start points (0.4 + 0.9i)^k
+    when the coefficients or the estimates leave float64."""
+    n = len(coeffs) - 1
+    try:
+        est = np.roots(np.array(coeffs[::-1], dtype=float))
+    except OverflowError:
+        est = None
+    if est is None or not np.all(np.isfinite(est)):
+        est = (0.4 + 0.9j) ** np.arange(n)
+    return est
+
+
+def _root_enclosures(poly: IntPolynomial) -> Iterator[tuple[int, list[tuple[int, int, int]]]]:
+    """Proven enclosures of the nonzero roots of poly, tighter at each step.
+
+    Yields (bits, clusters).  A cluster (m, low, high) holds exactly m roots,
+    counted with multiplicity, each of modulus in [low, high] * 2^-bits; the
+    m sum to the number of nonzero roots.  Zero roots are stripped first.
+
+    Each step takes centers z_i = Z_i / s, s = 2^bits, with Gaussian
+    integers Z_i, the first ones np.roots estimates rounded down onto the
+    grid.  With
+    exact integers it forms s^n P(z_i) and prod_{j != i} (Z_i - Z_j), so the
+    Weierstrass correction W_i = P(z_i) / (lead * prod_{j != i} (z_i - z_j))
+    is an exact rational.  Every root lies in the union of the disks
+    |z - z_i| <= n |W_i|, and each connected component of m disks holds
+    exactly m roots (the Gerschgorin disks of the matrix diag(z) - W 1^T,
+    whose eigenvalues are the roots, lie inside them; Carstensen, Numer.
+    Math. 58, 1991; Neumaier, J. Comput. Appl. Math. 156, 2003).  Radii
+    are rounded up and disks are merged unless provably disjoint, so a
+    cluster may join several components, which keeps both statements true.
+    The next centers are z_i - W_i (a Durand-Kerner step with exact
+    arithmetic) rounded onto a grid about twice as fine as the widest disk,
+    which follows the quadratic convergence on simple roots and the linear
+    one on repeated roots.  The caller stops when an enclosure suffices.
     """
-    import mpmath as mp
-
     coeffs = list(poly.coeffs)
-    n_zero_roots = 0
-    while coeffs and coeffs[0] == 0:
+    while coeffs[0] == 0:
         coeffs.pop(0)
-        n_zero_roots += 1
-    stripped = IntPolynomial(tuple(coeffs))
-    if stripped.degree < 1:
-        return [], n_zero_roots, mp.mpf(0)
-    desc = list(reversed(stripped.coeffs))
-    for dps in (40, 80, 160, 320):
-        with mp.workdps(dps):
-            try:
-                roots, err = mp.polyroots(desc, maxsteps=200, extraprec=dps, error=True)
-            except mp.libmp.libhyper.NoConvergence:  # pragma: no cover
-                continue
-            if err < err_target:
-                return [mp.mpc(r) for r in roots], n_zero_roots, mp.mpf(err)
-    raise ArithmeticError("root finding did not reach the requested error estimate")
+    n, lead = len(coeffs) - 1, coeffs[-1]
+    if n == 0:
+        yield 0, []
+        return
+    est = _float_estimates(coeffs).tolist()
+    # two bits past float64 precision at the smallest estimate's binade
+    bits = 55 - min(0, math.frexp(min((abs(z) for z in est if z), default=1.0))[1])
+    centers = []
+    for z in est:
+        (xn, xd), (yn, yd) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+        centers.append(((xn << bits) // xd, (yn << bits) // yd))
+    centers = _distinct(centers)
+    last = None  # (widest radius, bits) of the previous step
+    for _ in range(_WEIERSTRASS_STEPS):
+        # s^n P(Z/s) = sum_k c_k Z^k s^(n-k), by Horner with s = 2^bits.
+        scaled = [c << (bits * (n - k)) for k, c in enumerate(coeffs)]
+        vals, prods = [], []
+        for x, y in centers:
+            vr, vi = lead, 0
+            for c in reversed(scaled[:n]):
+                vr, vi = vr * x - vi * y + c, vr * y + vi * x
+            pr, pi = 1, 0
+            for u, v in centers:
+                if u != x or v != y:
+                    du, dv = x - u, y - v
+                    pr, pi = pr * du - pi * dv, pr * dv + pi * du
+            vals.append((vr, vi))
+            prods.append((pr, pi))
+        # (n |W_i| 2^bits)^2 = n^2 |s^n P(z_i)|^2 / (lead^2 |prod_i|^2)
+        dens = [lead * (pr * pr + pi * pi) for pr, pi in prods]
+        radii = [
+            _ceil_sqrt(-(-n * n * (vr * vr + vi * vi) // (lead * d)))
+            for (vr, vi), d in zip(vals, dens)
+        ]
+        yield bits, _disk_clusters(centers, radii)
+        widest = max(radii)
+        if bits == _GRID_BITS_MAX and last is not None and widest << last[1] >= last[0] << bits:
+            return  # the finest grid no longer narrows the disks
+        last = widest, bits
+        new_bits = min(_GRID_BITS_MAX, max(bits, 2 * (bits - widest.bit_length()) + 32))
+        shift = new_bits - bits
+        # W_i in units of 2^-new_bits: s^n P(z_i) * conj(prod_i) * 2^shift / (lead |prod_i|^2)
+        centers = _distinct([
+            ((x << shift) - ((vr * pr + vi * pi) << shift) // d,
+             (y << shift) - ((vi * pr - vr * pi) << shift) // d)
+            for (x, y), (vr, vi), (pr, pi), d in zip(centers, vals, prods, dens)
+        ])
+        bits = new_bits
 
 
-def mahler_measure(poly: "IntPolynomial | Sequence[int]", rel_tol: float = 1e-9) -> float:
-    """Mahler measure |lead| * prod(max(1, |root|)), to an estimated rel_tol.
+def _disk_clusters(centers: list[tuple[int, int]], radii: list[int]) -> list[tuple[int, int, int]]:
+    """(m, low, high) per group of disks |z - Z_i| <= R_i joined by overlaps.
 
-    The root solver's error estimate is driven below rel_tol / (10 * degree),
-    so the relative error on the product stays below rel_tol if that
-    estimate holds; it is not a proven bound on the roots.
+    Two disks are joined unless |Z_i - Z_j| > R_i + R_j is proven, exactly,
+    from the squares.  low and high bound the moduli of all points of the
+    group's disks, rounded outward to integers.
+    """
+    n = len(centers)
+    group = list(range(n))
+
+    def root(i):
+        while group[i] != i:
+            group[i] = i = group[group[i]]
+        return i
+
+    for i, ((x, y), r) in enumerate(zip(centers, radii)):
+        for j in range(i + 1, n):
+            u, v = centers[j]
+            if (x - u) ** 2 + (y - v) ** 2 <= (r + radii[j]) ** 2:
+                group[root(i)] = root(j)
+    out: dict[int, list[int]] = {}
+    for i, ((x, y), r) in enumerate(zip(centers, radii)):
+        mod2 = x * x + y * y
+        low, high = math.isqrt(mod2) - r, _ceil_sqrt(mod2) + r
+        g = out.setdefault(root(i), [0, low, high])
+        g[0] += 1
+        g[1], g[2] = min(g[1], low), max(g[2], high)
+    return [(m, max(0, low), high) for m, low, high in out.values()]
+
+
+def _float_up(q: Fraction) -> float:
+    f = float(q)
+    return f if Fraction(f) >= q else math.nextafter(f, math.inf)
+
+
+class MahlerMeasure(float):
+    """A Mahler measure with its certificate: the true value lies within
+    error_bound * value of this float."""
+
+    method = "inclusion-disks"
+
+    def __new__(cls, value: float, error_bound: float):
+        self = super().__new__(cls, value)
+        self.error_bound = error_bound
+        return self
+
+
+def mahler_measure(poly: "IntPolynomial | Sequence[int]", rel_tol: float = 1e-9) -> MahlerMeasure:
+    """Mahler measure |lead| * prod(max(1, |root|)), with a proven relative error.
+
+    Each cluster of _root_enclosures contributes max(1, low)^m and
+    max(1, high)^m to an exact rational interval [L, U] holding the measure;
+    the first enclosure whose interval fits rel_tol is used.  The result is
+    the float nearest (L + U) / 2, and its error_bound is the largest
+    relative distance from it to L or U, rounded up.  Raises ArithmeticError
+    when no enclosure fits.
     """
     if not isinstance(poly, IntPolynomial):
         poly = IntPolynomial(tuple(poly))
     if poly.is_zero():
         raise ValueError("Mahler measure of the zero polynomial is undefined")
-    if poly.degree == 0:
-        return float(abs(poly.leading))
-    import mpmath as mp
-
-    err_target = rel_tol / (10.0 * max(1, poly.degree))
-    roots, _, _ = _certified_roots(poly, err_target)
-    with mp.workdps(60):
-        m = mp.mpf(abs(poly.leading))
-        for z in roots:
-            m *= max(mp.mpf(1), abs(z))
-        return float(m)
+    if not rel_tol >= 2**-52:
+        raise ValueError("rel_tol must be at least 2^-52, the resolution of a float result")
+    for bits, clusters in _root_enclosures(poly):
+        one = 1 << bits
+        low = high = abs(poly.leading)
+        scale = 1
+        for m, lo, hi in clusters:
+            low *= max(one, lo) ** m
+            high *= max(one, hi) ** m
+            scale *= one**m
+        try:
+            value = (low + high) / (2 * scale)
+        except OverflowError:
+            raise ValueError("the Mahler measure exceeds the float64 range") from None
+        v = Fraction(value)
+        err = _float_up(max(v - Fraction(low, scale), Fraction(high, scale) - v) / v)
+        if err <= rel_tol:
+            return MahlerMeasure(value, err)
+    raise ArithmeticError(f"no root enclosure reached relative width {rel_tol}")
 
 
 def count_roots_in_disk(
@@ -465,8 +605,11 @@ def count_roots_in_disk(
 ) -> int:
     """Number of nonzero roots with |z| < rho, counted with multiplicity.
 
-    Raises if any root modulus lies within tol of rho: the count would then
-    depend on rounding, so the caller must perturb rho instead.
+    Read from the first enclosure of _root_enclosures that decides it: every
+    cluster's modulus range lies more than tol from rho.  Raises when a
+    cluster narrower than tol lies within tol of rho: a root modulus is then
+    that close to rho, the count would hinge on it, and the caller must
+    perturb rho instead.
     """
     if not isinstance(poly, IntPolynomial):
         poly = IntPolynomial(tuple(poly))
@@ -474,19 +617,21 @@ def count_roots_in_disk(
         raise ValueError("the zero polynomial has no well-defined root count")
     if rho <= 0:
         raise ValueError("disk radius must be positive")
-    if poly.degree == 0:
-        return 0
-    roots, _, _ = _certified_roots(poly, tol / 100.0)
-    count = 0
-    for z in roots:
-        mod = float(abs(z))
-        if abs(mod - rho) < tol:
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    for bits, clusters in _root_enclosures(poly):
+        one = 1 << bits
+        r, t = Fraction(rho) * one, Fraction(tol) * one
+        near = [(lo, hi) for _, lo, hi in clusters if lo - t < r < hi + t]
+        if not near:
+            return sum(m for m, _, hi in clusters if hi < r)
+        if all(hi - lo <= t for lo, hi in near):
+            lo, hi = near[0]
             raise ValueError(
-                f"a root modulus {mod!r} lies within {tol} of the disk radius; perturb rho"
+                f"a root modulus in [{lo / one!r}, {hi / one!r}] "
+                f"lies within {tol} of the disk radius; perturb rho"
             )
-        if mod < rho:
-            count += 1
-    return count
+    raise ArithmeticError(f"no root enclosure decided the count at radius {rho}")
 
 
 # ---------------------------------------------------------------------------

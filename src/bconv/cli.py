@@ -358,8 +358,8 @@ def _cmd_tube(args) -> dict:
 
 
 def _cmd_mahler(args) -> dict:
-    poly = IntPolynomial(_parse_ints(args.poly))
-    return {"mahler": mahler_measure(poly)}
+    m = mahler_measure(IntPolynomial(_parse_ints(args.poly)))
+    return {"mahler": float(m), "error_bound": m.error_bound, "method": m.method}
 
 
 def _cmd_poly_search(args) -> dict:

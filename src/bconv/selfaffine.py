@@ -136,8 +136,9 @@ class SystemSpec:
 # ---------------------------------------------------------------------------
 
 
-def _level_measures(spec: SystemSpec, n: int, budget: int):
-    """Yield the merged level-k measures for k = 0..n (see build_level_n)."""
+def _level_measures(spec: SystemSpec, n: int, budget: int, probs: Sequence[float]):
+    """Yield the merged level-k measures for k = 0..n (see build_level_n),
+    with digit weights probs."""
     if n < 0:
         raise ValueError("level must be nonnegative")
     if spec.n_maps**n > budget:
@@ -150,7 +151,7 @@ def _level_measures(spec: SystemSpec, n: int, budget: int):
     yield mu
     lam_pow = np.ones(spec.dim)
     for _k in range(n):
-        mu = convolve(DiscreteMeasure(a * lam_pow, spec.probs), mu)
+        mu = convolve(DiscreteMeasure(a * lam_pow, probs), mu)
         lam_pow = lam_pow * lam
         yield mu
 
@@ -170,7 +171,7 @@ def build_level_n(
     word states (see rw_entropy_upper).  Refuses, before building anything,
     when the pre-merge atom count would exceed the budget.
     """
-    for mu in _level_measures(spec, n, budget):
+    for mu in _level_measures(spec, n, budget, spec.probs):
         pass
     return mu
 
@@ -401,10 +402,13 @@ def separation_profile(
 ) -> SeparationProfile:
     """Scan minimal word-value gaps for n = 1..n_max.
 
-    A level of build_level_n with fewer atoms than its k^n words had a
-    bit-equal float collision and reports 0.0 everywhere; otherwise its atoms
-    are the word values, sorted per axis, and in d >= 2 a KD-tree gives the
-    joint Euclidean gap.
+    The levels are those of build_level_n folded with uniform digit weights
+    1/k: gaps read only the points, and a word weight k^-n >= 1/budget
+    cannot underflow to 0.0 and drop its atom, as p_min^n can.  A level
+    with fewer atoms than its k^n words therefore had a bit-equal float
+    collision and reports 0.0 everywhere; otherwise its atoms are the word
+    values, sorted per axis, and in d >= 2 a KD-tree gives the joint
+    Euclidean gap.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -412,7 +416,7 @@ def separation_profile(
     per_axis = []
     rates = []
     joint = []
-    levels = _level_measures(spec, n_max, budget)
+    levels = _level_measures(spec, n_max, budget, [1.0 / spec.n_maps] * spec.n_maps)
     next(levels)  # level 0
     for n, mu in enumerate(levels, start=1):
         collided = mu.n_atoms < spec.n_maps**n

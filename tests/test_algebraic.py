@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from bconv import algebraic
 from bconv.algebraic import (
     _smallest,
     _word_states,
@@ -238,6 +239,139 @@ class TestMahlerMeasure:
         with pytest.raises(ValueError, match="zero polynomial"):
             mahler_measure(())
 
+    def test_measure_past_float64_rejected(self):
+        with pytest.raises(ValueError, match="float64 range"):
+            mahler_measure((1, 10**310))
+
+    def test_rel_tol_below_float_resolution_rejected(self):
+        with pytest.raises(ValueError, match="rel_tol"):
+            mahler_measure((-1, -1, 1), rel_tol=1e-17)
+
+
+def _oracle_mahler(coeffs):
+    """|lead| * prod max(1, |root|) from mp.polyroots at 100 digits."""
+    import mpmath as mp
+
+    c = list(coeffs)
+    while c[0] == 0:
+        c.pop(0)
+    desc = c[::-1]
+    with mp.workdps(100):
+        init = [mp.mpc(complex(z)) for z in np.roots(desc)]
+        roots = mp.polyroots(desc, maxsteps=100, extraprec=100, roots_init=init)
+        return abs(c[-1]) * mp.fprod(max(mp.mpf(1), abs(z)) for z in roots)
+
+
+def _random_polys(count, seed=2024):
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        c = rng.integers(-1, 2, int(rng.integers(10, 61)) + 1).tolist()
+        c[-1] = 1
+        out.append(IntPolynomial(tuple(c)))
+    return out
+
+
+def _enclosures_taken(monkeypatch, poly, rel_tol=1e-9):
+    """mahler_measure(poly) and the number of enclosures it read."""
+    taken = []
+    inner = algebraic._root_enclosures
+
+    def counting(p):
+        for enc in inner(p):
+            taken.append(enc)
+            yield enc
+
+    monkeypatch.setattr(algebraic, "_root_enclosures", counting)
+    return mahler_measure(poly, rel_tol), len(taken)
+
+
+CYCLOTOMIC_SQUARED = IntPolynomial((1, 1, 1)) * IntPolynomial((1, 1, 1))
+RANDOM_16 = _random_polys(1, seed=11)[0]  # degree 16
+RANDOM_30 = _random_polys(30)
+
+
+class TestCertifiedMahler:
+    """Every value lies within its error_bound of a 100-digit oracle."""
+
+    @staticmethod
+    def assert_certified(m, oracle, rel_tol=1e-9):
+        value = float(m)
+        assert m.method == "inclusion-disks"
+        assert abs(value - oracle) <= m.error_bound * value <= rel_tol * value
+
+    @pytest.mark.parametrize(
+        "poly", RANDOM_30, ids=[f"{i}-deg{p.degree}" for i, p in enumerate(RANDOM_30)]
+    )
+    def test_random_family_polynomials(self, poly):
+        self.assert_certified(mahler_measure(poly), _oracle_mahler(poly.coeffs))
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            (0, 0, -1, -1, 1),  # x^2 (x^2 - x - 1): zero roots
+            (2, -1, 0, 3),  # non-monic
+            (-5, 0, 7, 1, -3),  # non-monic, roots on both sides of the unit circle
+            (1,) * 7,  # cyclotomic: the 7th roots of unity but 1
+            (1, 0, -1, 0, 1),  # cyclotomic Phi_12
+        ],
+        ids=["zero-roots", "non-monic-cubic", "non-monic-quartic", "phi7", "phi12"],
+    )
+    def test_special_inputs(self, coeffs):
+        self.assert_certified(mahler_measure(coeffs), _oracle_mahler(coeffs))
+
+    def test_tight_tolerance(self):
+        lehmer = (1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1)
+        m = mahler_measure(lehmer, rel_tol=1e-15)
+        self.assert_certified(m, _oracle_mahler(lehmer), rel_tol=1e-15)
+
+    def test_simple_roots_certified_from_float_estimates(self, monkeypatch):
+        lehmer = IntPolynomial((1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1))
+        assert _enclosures_taken(monkeypatch, lehmer)[1] == 1
+
+    @pytest.mark.parametrize(
+        "square, root_poly",
+        [(CYCLOTOMIC_SQUARED, IntPolynomial((1, 1, 1))), (RANDOM_16 * RANDOM_16, RANDOM_16)],
+        ids=["cyclotomic-squared", "random-squared"],
+    )
+    def test_repeated_roots_take_weierstrass_steps(self, monkeypatch, square, root_poly):
+        # float estimates of a double root are off by about 1e-8, so the
+        # first disks are too wide; exact Weierstrass steps narrow them
+        m, taken = _enclosures_taken(monkeypatch, square)
+        assert taken > 1
+        self.assert_certified(m, _oracle_mahler(root_poly.coeffs) ** 2)
+
+    def test_refuses_when_no_enclosure_fits(self, monkeypatch):
+        monkeypatch.setattr(algebraic, "_WEIERSTRASS_STEPS", 1)
+        with pytest.raises(ArithmeticError, match="relative width"):
+            mahler_measure(CYCLOTOMIC_SQUARED)
+        with pytest.raises(ArithmeticError, match="decided the count"):
+            count_roots_in_disk(CYCLOTOMIC_SQUARED, 1.0 + 1e-8)
+
+
+class TestRootEnclosures:
+    def test_disks_join_only_when_they_may_overlap(self):
+        # centers 0 and 3 on the real axis, moduli ranges widened by the radii
+        assert algebraic._disk_clusters([(0, 0), (3, 0)], [2, 1]) == [(2, 0, 4)]
+        assert sorted(algebraic._disk_clusters([(0, 0), (3, 0)], [1, 1])) == [(1, 0, 1), (1, 2, 4)]
+        assert algebraic._disk_clusters([(-3, -4)], [0]) == [(1, 5, 5)]
+
+    @pytest.mark.parametrize(
+        "poly, moduli",
+        [
+            (IntPolynomial((-4, 12, -9, 2)), [0.5, 2.0, 2.0]),
+            (CYCLOTOMIC_SQUARED, [1.0] * 4),
+            (IntPolynomial((0, 0, -1, -1, 1)), [(5**0.5 - 1) / 2, (5**0.5 + 1) / 2]),
+        ],
+        ids=["double-root", "cyclotomic-squared", "zero-roots"],
+    )
+    def test_clusters_hold_the_roots(self, poly, moduli):
+        for _, (bits, clusters) in zip(range(8), algebraic._root_enclosures(poly)):
+            assert sum(m for m, _, _ in clusters) == len(moduli)
+            for m, lo, hi in clusters:
+                inside = [r for r in moduli if lo / 2**bits - 1e-15 <= r <= hi / 2**bits + 1e-15]
+                assert len(inside) >= m
+
 
 class TestCountRootsInDisk:
     def test_golden_companion_counts(self):
@@ -259,11 +393,30 @@ class TestCountRootsInDisk:
         assert count_roots_in_disk(p, 1.0) == 0
         assert count_roots_in_disk(p, 3.0) == 1
 
+    def test_double_root_on_radius_rejected(self):
+        with pytest.raises(ValueError, match="perturb rho"):
+            count_roots_in_disk((4, -4, 1), 2.0)  # (x - 2)^2
+        with pytest.raises(ValueError, match="perturb rho"):
+            count_roots_in_disk(CYCLOTOMIC_SQUARED, 1.0)
+
+    def test_coefficients_past_float64(self):
+        # np.roots cannot take 10^400; the disks start from fixed points
+        assert count_roots_in_disk((1, 10**400), 1.0) == 1
+
+    def test_counts_with_multiplicity(self):
+        p = (-4, 12, -9, 2)  # (x - 2)^2 (2x - 1)
+        assert count_roots_in_disk(p, 1.0) == 1
+        assert count_roots_in_disk(p, 3.0) == 3
+        assert count_roots_in_disk(CYCLOTOMIC_SQUARED, 1.5) == 4
+        assert count_roots_in_disk(CYCLOTOMIC_SQUARED, 0.5) == 0
+
     def test_validation(self):
         with pytest.raises(ValueError, match="zero polynomial"):
             count_roots_in_disk((), 1.0)
         with pytest.raises(ValueError, match="positive"):
             count_roots_in_disk((1, 1), 0.0)
+        with pytest.raises(ValueError, match="tol"):
+            count_roots_in_disk((1, 1), 0.5, tol=0.0)
         assert count_roots_in_disk((7,), 1.0) == 0
 
 

@@ -214,6 +214,8 @@ class TestSubcommands:
     def test_mahler(self, tmp_path):
         got = run_json(["mahler", "--poly", "-1,-1,1"], tmp_path)
         assert got["mahler"] == pytest.approx(1.618033988749895, abs=1e-7)
+        assert got["method"] == "inclusion-disks"
+        assert 0.0 <= got["error_bound"] <= 1e-9
 
     def test_poly_search(self, tmp_path):
         got = run_json(
@@ -342,6 +344,27 @@ class TestExitCodes:
             check=True,
         )
         assert res.stderr.strip().splitlines()[-1] == "False"
+
+    def test_mahler_never_imports_mpmath_or_sympy(self):
+        lehmer = "1,1,0,-1,-1,-1,-1,-1,0,1,1"
+        deg40 = ",".join(["1", "-1", "0"] * 13 + ["1", "1"])
+        code = (
+            "import sys\n"
+            "from bconv.cli import dispatch\n"
+            f"for poly in ({lehmer!r}, {deg40!r}):\n"
+            "    assert dispatch(['mahler', '--poly', poly]) == 0\n"
+            "print('mpmath' in sys.modules, 'sympy' in sys.modules, file=sys.stderr)\n"
+        )
+        path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+        res = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        assert res.stderr.strip().splitlines()[-1] == "False False"
 
     @pytest.mark.parametrize(
         "argv",

@@ -459,11 +459,13 @@ class TestSeparation:
                 ),
                 7,
             ),
+            (SystemSpec((0.3,), ((1,), (-1,)), (1e-200, 1 - 1e-200)), 3),
         ],
-        ids=["golden", "third", "tri2d", "three-maps-2d", "four-maps-3d"],
+        ids=["golden", "third", "tri2d", "three-maps-2d", "four-maps-3d", "underflowing-p"],
     )
     def test_matches_unmerged_scan_bitwise(self, spec, n_max):
-        # golden and tri2d have bit-equal float collisions, the others none
+        # golden and tri2d have bit-equal float collisions, the others none;
+        # p_min^2 = 1e-400 underflows, but gaps never read the weights
         assert separation_profile(spec, n_max) == _unmerged_separation(spec, n_max)
 
     def test_third_gaps_exact(self):
