@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, UncertifiedError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .selfaffine import SystemSpec
@@ -49,6 +49,7 @@ __all__ = [
 _ROOT_AMBIGUITY_TOL = 1e-9
 _WEIERSTRASS_STEPS = 200
 _GRID_BITS_MAX = 1088  # about 320 decimal digits
+_BB_BLOCK = 1 << 12  # frontier nodes per block of the branch-and-bound walk
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +573,7 @@ def mahler_measure(poly: "IntPolynomial | Sequence[int]", rel_tol: float = 1e-9)
     max(1, high)^m to an exact rational interval [L, U] holding the measure;
     the first enclosure whose interval fits rel_tol is used.  The result is
     the float nearest (L + U) / 2, and its error_bound is the largest
-    relative distance from it to L or U, rounded up.  Raises ArithmeticError
+    relative distance from it to L or U, rounded up.  Raises UncertifiedError
     when no enclosure fits.
     """
     if not isinstance(poly, IntPolynomial):
@@ -597,7 +598,7 @@ def mahler_measure(poly: "IntPolynomial | Sequence[int]", rel_tol: float = 1e-9)
         err = _float_up(max(v - Fraction(low, scale), Fraction(high, scale) - v) / v)
         if err <= rel_tol:
             return MahlerMeasure(value, err)
-    raise ArithmeticError(f"no root enclosure reached relative width {rel_tol}")
+    raise UncertifiedError(f"no root enclosure reached relative width {rel_tol}")
 
 
 def count_roots_in_disk(
@@ -609,7 +610,7 @@ def count_roots_in_disk(
     cluster's modulus range lies more than tol from rho.  Raises when a
     cluster narrower than tol lies within tol of rho: a root modulus is then
     that close to rho, the count would hinge on it, and the caller must
-    perturb rho instead.
+    perturb rho instead.  Raises UncertifiedError when no enclosure decides.
     """
     if not isinstance(poly, IntPolynomial):
         poly = IntPolynomial(tuple(poly))
@@ -631,7 +632,7 @@ def count_roots_in_disk(
                 f"a root modulus in [{lo / one!r}, {hi / one!r}] "
                 f"lies within {tol} of the disk radius; perturb rho"
             )
-    raise ArithmeticError(f"no root enclosure decided the count at radius {rho}")
+    raise UncertifiedError(f"no root enclosure decided the count at radius {rho}")
 
 
 # ---------------------------------------------------------------------------
@@ -817,8 +818,28 @@ def _smallest(
 def _search_branch_and_bound(
     xi: float, n: int, coeffs: tuple[int, ...]
 ) -> tuple[tuple[int, ...], float]:
+    """Depth-first branch-and-bound over numpy blocks of frontier nodes.
+
+    Digits are chosen from position n-1 down.  A node at position k holds its
+    partial sum (the positions above k, added top down) and the base-|C|
+    index of its digits, position t at stride |C|^t, kept in int64 limbs of
+    `width` digits so no n overflows.  A popped block drops the nodes with
+    |partial| - rem[k] > best + slack, the recursive walk's test, is
+    expanded with one broadcast add (smallest |c| first, so low-degree
+    leaves come early), cut into blocks of at most _BB_BLOCK nodes and
+    pushed.  Leaves pass the same test with rem = 0, are decoded with
+    _digits and valued by the split rule of _canonical_value, column by
+    column; ties merge under _rev_key.  The incumbent is always the |value|
+    of a real nonzero leaf, so no threshold falls below the optimum and the
+    answer does not depend on the visiting order.
+
+    Cost: the stack holds at most about n * |C| * _BB_BLOCK nodes whatever n
+    is, so no budget applies; time grows with the nodes that survive
+    pruning, up to |C|^n leaves.
+    """
     powers = _powers(xi, n)
     h = n // 2
+    base = len(coeffs)
     cmax = max(abs(c) for c in coeffs)
     # rem[k]: loosest possible |contribution| of positions 0..k.
     rem = [0.0] * n
@@ -828,31 +849,49 @@ def _search_branch_and_bound(
         rem[k] = acc
     slack = 1e-12 * (1.0 + acc)
 
+    width = 1
+    while base ** (width + 1) <= 1 << 62:
+        width += 1
+    limbs = -(-n // width)
+    order = np.argsort(np.abs(coeffs), kind="stable")
+    terms = np.array(coeffs, dtype=float)[order]
+
     best_abs = math.inf
     best_digits: tuple[int, ...] | None = None
-    chosen = [0] * n
-
-    def visit(k: int, partial: float):
-        nonlocal best_abs, best_digits
-        if k < 0:
-            if all(c == 0 for c in chosen):
-                return
-            value = _canonical_value(chosen, powers, h)
-            a = abs(value)
-            digits = tuple(chosen)
-            if a < best_abs or (a == best_abs and (best_digits is None or _rev_key(digits) < _rev_key(best_digits))):
-                best_abs = a
-                best_digits = digits
-            return
-        bound = abs(partial) - rem[k]
-        if bound > best_abs + slack:
-            return
-        for c in coeffs:
-            chosen[k] = c
-            visit(k - 1, partial + c * powers[k])
-        chosen[k] = 0
-
-    visit(n - 1, 0.0)
+    stack = [(n - 1, np.zeros(1), np.zeros((1, limbs), dtype=np.int64))]
+    while stack:
+        k, partial, index = stack.pop()
+        if k >= 0:
+            keep = np.abs(partial) - rem[k] <= best_abs + slack
+            partial = (partial[keep, None] + terms * powers[k]).ravel()
+            step = np.zeros((base, limbs), dtype=np.int64)
+            step[:, k // width] = order * base ** (k % width)
+            index = (index[keep, None, :] + step).reshape(-1, limbs)
+            for start in reversed(range(0, len(partial), _BB_BLOCK)):
+                stop = start + _BB_BLOCK
+                stack.append((k - 1, partial[start:stop], index[start:stop]))
+            continue
+        index = index[np.abs(partial) <= best_abs + slack]
+        digits = np.hstack(
+            [_digits(index[:, j], min(width, n - j * width), coeffs) for j in range(limbs)]
+        )
+        digits = digits[digits.any(axis=1)]
+        if not len(digits):
+            continue
+        lo = np.zeros(len(digits))
+        for t in range(h):
+            lo = digits[:, t] * powers[t] + lo
+        hi = np.zeros(len(digits))
+        for t in range(h, n):
+            hi = digits[:, t] * powers[t] + hi
+        values = np.abs(lo + hi)
+        m = float(values.min())
+        if m > best_abs:
+            continue
+        ties = digits[values == m]
+        cand = tuple(ties[np.lexsort(ties.T)[0]].tolist())
+        if m < best_abs or _rev_key(cand) < _rev_key(best_digits):
+            best_abs, best_digits = m, cand
     assert best_digits is not None
     return best_digits, _canonical_value(best_digits, powers, h)
 
@@ -868,7 +907,15 @@ def min_value_poly_search(
 
     All strategies agree bit-for-bit: values come from one canonical split
     evaluation and ties break on the lexicographically smallest coefficient
-    vector read from the leading coefficient down.
+    vector read from the leading coefficient down.  Their costs, for the
+    coefficient set C:
+
+    - "exhaustive" makes |C|^n evaluations and refuses when that exceeds
+      `budget`;
+    - "meet-in-middle" builds half tables of |C|^ceil(n/2) entries and
+      refuses when one exceeds `budget`;
+    - "branch-and-bound" holds at most about n * |C| * _BB_BLOCK frontier
+      nodes and ignores `budget`; its time depends on how much it prunes.
     """
     xi, n, coeffs = _validate_search(xi, n, coeff_set)
     if strategy == "exhaustive":

@@ -29,7 +29,7 @@ from .algebraic import (
     mahler_measure,
     min_value_poly_search,
 )
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, UncertifiedError
 from .measures import read_atoms_csv
 from .scales import ScaleVector
 from .selfaffine import SystemSpec
@@ -559,7 +559,7 @@ def dispatch(argv: Sequence[str]) -> int:
     except BudgetExceededError as e:
         print(f"budget refused: {e}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as e:
+    except (ValueError, OSError, UncertifiedError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -12,6 +12,14 @@ class BudgetExceededError(RuntimeError):
     """
 
 
+class UncertifiedError(ArithmeticError):
+    """No root enclosure certified the requested quantity.
+
+    Raised by the Mahler measure and the disk root count when every
+    enclosure they may compute is too wide to decide the answer.
+    """
+
+
 class BoundaryHazardWarning(UserWarning):
     """Atoms sat within 2^-45 of a cell boundary during key computation.
 

@@ -1,15 +1,20 @@
 """Tests for the exact-arithmetic layer: integer polynomials, algebraic
 numbers, Mahler measure, the small-value search, and overlap detection."""
 
+import importlib.util
 import itertools
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bconv import algebraic
 from bconv.algebraic import (
+    _canonical_value,
+    _powers,
+    _rev_key,
     _smallest,
     _word_states,
     AlgebraicNumber,
@@ -22,7 +27,7 @@ from bconv.algebraic import (
     min_value_poly_search,
     reduce_mod_minpoly,
 )
-from bconv.errors import BudgetExceededError
+from bconv.errors import BudgetExceededError, UncertifiedError
 from bconv.selfaffine import SystemSpec, rw_entropy_upper
 
 GOLDEN = 0.6180339887498949
@@ -348,6 +353,13 @@ class TestCertifiedMahler:
         with pytest.raises(ArithmeticError, match="decided the count"):
             count_roots_in_disk(CYCLOTOMIC_SQUARED, 1.0 + 1e-8)
 
+    def test_refusal_is_uncertified_error(self, monkeypatch):
+        monkeypatch.setattr(algebraic, "_WEIERSTRASS_STEPS", 1)
+        with pytest.raises(UncertifiedError):
+            mahler_measure(CYCLOTOMIC_SQUARED)
+        with pytest.raises(UncertifiedError):
+            count_roots_in_disk(CYCLOTOMIC_SQUARED, 1.0 + 1e-8)
+
 
 class TestRootEnclosures:
     def test_disks_join_only_when_they_may_overlap(self):
@@ -505,6 +517,134 @@ class TestMinValuePolySearch:
             min_value_poly_search(float("inf"), 3, (-1, 0, 1))
         with pytest.raises(ValueError, match="strategy"):
             min_value_poly_search(0.7, 3, (-1, 0, 1), strategy="oracle")
+
+
+def _recursive_branch_and_bound(
+    xi: float, n: int, coeffs: tuple[int, ...]
+) -> tuple[tuple[int, ...], float]:
+    """The per-node recursive walk the numpy block walk replaced, kept
+    verbatim as its oracle."""
+    powers = _powers(xi, n)
+    h = n // 2
+    cmax = max(abs(c) for c in coeffs)
+    # rem[k]: loosest possible |contribution| of positions 0..k.
+    rem = [0.0] * n
+    acc = 0.0
+    for k in range(n):
+        acc += cmax * abs(powers[k])
+        rem[k] = acc
+    slack = 1e-12 * (1.0 + acc)
+
+    best_abs = math.inf
+    best_digits: tuple[int, ...] | None = None
+    chosen = [0] * n
+
+    def visit(k: int, partial: float):
+        nonlocal best_abs, best_digits
+        if k < 0:
+            if all(c == 0 for c in chosen):
+                return
+            value = _canonical_value(chosen, powers, h)
+            a = abs(value)
+            digits = tuple(chosen)
+            if a < best_abs or (a == best_abs and (best_digits is None or _rev_key(digits) < _rev_key(best_digits))):
+                best_abs = a
+                best_digits = digits
+            return
+        bound = abs(partial) - rem[k]
+        if bound > best_abs + slack:
+            return
+        for c in coeffs:
+            chosen[k] = c
+            visit(k - 1, partial + c * powers[k])
+        chosen[k] = 0
+
+    visit(n - 1, 0.0)
+    assert best_digits is not None
+    return best_digits, _canonical_value(best_digits, powers, h)
+
+
+def _benchmark_search_xis(seed):
+    """The xi of the benchmark's search workload, read from perfbench/inputs.py."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+    found = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(found)
+    found.loader.exec_module(inputs)
+    return inputs.search_xis(seed)
+
+
+def _walk_sweep():
+    """Seeded (xi, n, coeffs) with xi in (-1.2, 1.2), n small enough for the oracle."""
+    rng = np.random.default_rng(413)
+    sets = [(0, 1), (-1, 0, 1), (-2, 0, 2), (-3, 0, 3), (-1, 0, 1, 2), (-2, -1, 0, 1, 2)]
+    top = {2: 12, 3: 9, 4: 7, 5: 6}  # largest n per |C|
+    cases = []
+    for i in range(60):
+        cs = sets[i % len(sets)]
+        cases.append((float(rng.uniform(-1.2, 1.2)), int(rng.integers(1, top[len(cs)] + 1)), cs))
+    return cases
+
+
+def _block_walk(xi, n, coeffs):
+    return algebraic._search_branch_and_bound(*algebraic._validate_search(xi, n, coeffs))
+
+
+class TestBranchAndBoundWalk:
+    """The numpy block walk against the recursive walk it replaced: the same
+    (digits, value), compared with ==."""
+
+    @pytest.mark.parametrize("xi, n, coeffs", _walk_sweep())
+    def test_matches_recursive_walk(self, xi, n, coeffs):
+        assert _block_walk(xi, n, coeffs) == _recursive_branch_and_bound(xi, n, coeffs)
+
+    @pytest.mark.parametrize(
+        "xi, n, coeffs",
+        [
+            (GOLDEN, 8, (-1, 0, 1)),
+            (GOLDEN, 10, (-2, 0, 2)),
+            (GOLDEN, 6, (-2, -1, 0, 1, 2)),
+            (-GOLDEN, 8, (-1, 0, 1)),
+            (2 / 3, 7, (-1, 0, 1, 2)),
+        ],
+    )
+    def test_near_ties_follow_the_split_rule(self, xi, n, coeffs):
+        # multiples of a minimal polynomial leave rounding residues a few ulps
+        # apart, so the minimizer depends on the summation order of each half
+        assert _block_walk(xi, n, coeffs) == _recursive_branch_and_bound(xi, n, coeffs)
+
+    @pytest.mark.parametrize("xi", _benchmark_search_xis(300))
+    def test_benchmark_searches(self, xi):
+        # the search workload's bb11 ops; each frontier level spans several blocks
+        assert _block_walk(xi, 11, (-1, 0, 1)) == _recursive_branch_and_bound(xi, 11, (-1, 0, 1))
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_ties_at_half(self, n):
+        assert _block_walk(0.5, n, (-1, 0, 1)) == _recursive_branch_and_bound(0.5, n, (-1, 0, 1))
+
+    def test_frontier_split_into_many_blocks(self, monkeypatch):
+        monkeypatch.setattr(algebraic, "_BB_BLOCK", 5)
+        for xi, n, coeffs in _walk_sweep()[:24]:
+            assert _block_walk(xi, n, coeffs) == _recursive_branch_and_bound(xi, n, coeffs)
+
+    def test_pruning_removes_most_of_the_tree(self, monkeypatch):
+        decoded = []
+        digits = algebraic._digits
+
+        def counting(index, n_digits, coeffs):
+            decoded.append(len(index))
+            return digits(index, n_digits, coeffs)
+
+        monkeypatch.setattr(algebraic, "_digits", counting)
+        assert _block_walk(2.0, 12, (-1, 0, 1)) == _recursive_branch_and_bound(2.0, 12, (-1, 0, 1))
+        assert 0 < sum(decoded) < 3**12 // 10
+
+    @pytest.mark.parametrize("n", [41, 45])
+    def test_node_index_past_int64(self, n):
+        # 3^n > 2^62, so a node index takes two int64 limbs.  Every nonzero
+        # {-1,0,1} polynomial has |P(2)| >= 1, and the tie rule picks the
+        # one with leading -1: 1 + 2 + ... + 2^(n-2) - 2^(n-1) = -1.
+        assert 3**n > 2**62
+        assert _block_walk(2.0, n, (-1, 0, 1)) == ((1,) * (n - 1) + (-1,), -1.0)
 
 
 def _brute_force_ranking(xi, n, coeffs):

@@ -225,6 +225,19 @@ class TestSubcommands:
         assert got["value"] == 0.30000000000000004
         assert got["strategy"] == "meet-in-middle"
 
+    def test_poly_search_strategies_agree_on_benchmark_xis(self, tmp_path):
+        found = importlib.util.spec_from_file_location("perfbench_inputs", PERFBENCH / "inputs.py")
+        inputs = importlib.util.module_from_spec(found)
+        found.loader.exec_module(inputs)
+        for xi in inputs.search_xis(300):
+            argv = ["poly-search", "--xi", repr(xi), "--n", "11", "--coeffs", "-1,0,1"]
+            reports = []
+            for strategy in ("exhaustive", "meet-in-middle", "branch-and-bound"):
+                got = run_json([*argv, "--strategy", strategy], tmp_path)
+                assert got.pop("strategy") == strategy
+                reports.append(got)
+            assert reports[0] == reports[1] == reports[2], xi
+
     def test_approx_with_rw_bound(self, tmp_path):
         got = run_json(
             ["approx", "--spec", str(GOLDEN_SPEC), "--n", "3", "--rw-n", "6"], tmp_path
@@ -281,6 +294,24 @@ class TestExitCodes:
         argv = ["poly-search", "--xi", "0.7", "--n", "12", "--coeffs", "-1,0,1"]
         assert dispatch([*argv, "--strategy", "exhaustive", "--budget", "0"]) == 2
         assert "budget refused" in capsys.readouterr().err
+
+    def test_uncertified_mahler_is_an_error_line(self, capsys):
+        # (1+x)^12: the 12-fold root -1 defeats every root enclosure
+        argv = ["mahler", "--poly", "1,12,66,220,495,792,924,792,495,220,66,12,1"]
+        assert dispatch(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: no root enclosure")
+        assert "Traceback" not in err
+
+    def test_other_arithmetic_errors_surface(self, monkeypatch):
+        from bconv import cli
+
+        def divide(poly):
+            raise ZeroDivisionError("division by zero")
+
+        monkeypatch.setattr(cli, "mahler_measure", divide)
+        with pytest.raises(ZeroDivisionError):
+            dispatch(["mahler", "--poly", "1,1"])
 
     def test_rw_state_bound_refusal_is_exit_2(self, capsys, monkeypatch):
         # 2^40 exact word states: refused by the int64 bound before any
