@@ -15,6 +15,7 @@ from bconv.algebraic import (
     _canonical_value,
     _powers,
     _rev_key,
+    _search_branch_and_bound,
     _smallest,
     _word_states,
     AlgebraicNumber,
@@ -574,7 +575,8 @@ def _benchmark_search_xis(seed):
 
 
 def _walk_sweep():
-    """Seeded (xi, n, coeffs) with xi in (-1.2, 1.2), n small enough for the oracle."""
+    """Seeded (xi, n, coeffs) with xi in (-1.2, 1.2) and n small enough for the
+    oracle, then the fixed cases."""
     rng = np.random.default_rng(413)
     sets = [(0, 1), (-1, 0, 1), (-2, 0, 2), (-3, 0, 3), (-1, 0, 1, 2), (-2, -1, 0, 1, 2)]
     top = {2: 12, 3: 9, 4: 7, 5: 6}  # largest n per |C|
@@ -582,11 +584,20 @@ def _walk_sweep():
     for i in range(60):
         cs = sets[i % len(sets)]
         cases.append((float(rng.uniform(-1.2, 1.2)), int(rng.integers(1, top[len(cs)] + 1)), cs))
+    # the search workload's bb11 ops; each frontier level spans several blocks
+    cases += [(xi, 11, (-1, 0, 1)) for xi in _benchmark_search_xis(300)]
+    # exact ties at 1/2
+    cases += [(0.5, n, (-1, 0, 1)) for n in range(1, 13)]
+    # multiples of a minimal polynomial leave rounding residues a few ulps
+    # apart, so the minimizer depends on the summation order of each half
+    cases += [
+        (GOLDEN, 8, (-1, 0, 1)),
+        (GOLDEN, 10, (-2, 0, 2)),
+        (GOLDEN, 6, (-2, -1, 0, 1, 2)),
+        (-GOLDEN, 8, (-1, 0, 1)),
+        (2 / 3, 7, (-1, 0, 1, 2)),
+    ]
     return cases
-
-
-def _block_walk(xi, n, coeffs):
-    return algebraic._search_branch_and_bound(*algebraic._validate_search(xi, n, coeffs))
 
 
 class TestBranchAndBoundWalk:
@@ -595,36 +606,12 @@ class TestBranchAndBoundWalk:
 
     @pytest.mark.parametrize("xi, n, coeffs", _walk_sweep())
     def test_matches_recursive_walk(self, xi, n, coeffs):
-        assert _block_walk(xi, n, coeffs) == _recursive_branch_and_bound(xi, n, coeffs)
-
-    @pytest.mark.parametrize(
-        "xi, n, coeffs",
-        [
-            (GOLDEN, 8, (-1, 0, 1)),
-            (GOLDEN, 10, (-2, 0, 2)),
-            (GOLDEN, 6, (-2, -1, 0, 1, 2)),
-            (-GOLDEN, 8, (-1, 0, 1)),
-            (2 / 3, 7, (-1, 0, 1, 2)),
-        ],
-    )
-    def test_near_ties_follow_the_split_rule(self, xi, n, coeffs):
-        # multiples of a minimal polynomial leave rounding residues a few ulps
-        # apart, so the minimizer depends on the summation order of each half
-        assert _block_walk(xi, n, coeffs) == _recursive_branch_and_bound(xi, n, coeffs)
-
-    @pytest.mark.parametrize("xi", _benchmark_search_xis(300))
-    def test_benchmark_searches(self, xi):
-        # the search workload's bb11 ops; each frontier level spans several blocks
-        assert _block_walk(xi, 11, (-1, 0, 1)) == _recursive_branch_and_bound(xi, 11, (-1, 0, 1))
-
-    @pytest.mark.parametrize("n", range(1, 13))
-    def test_ties_at_half(self, n):
-        assert _block_walk(0.5, n, (-1, 0, 1)) == _recursive_branch_and_bound(0.5, n, (-1, 0, 1))
+        assert _search_branch_and_bound(xi, n, coeffs) == _recursive_branch_and_bound(xi, n, coeffs)
 
     def test_frontier_split_into_many_blocks(self, monkeypatch):
         monkeypatch.setattr(algebraic, "_BB_BLOCK", 5)
         for xi, n, coeffs in _walk_sweep()[:24]:
-            assert _block_walk(xi, n, coeffs) == _recursive_branch_and_bound(xi, n, coeffs)
+            assert _search_branch_and_bound(xi, n, coeffs) == _recursive_branch_and_bound(xi, n, coeffs)
 
     def test_pruning_removes_most_of_the_tree(self, monkeypatch):
         decoded = []
@@ -635,7 +622,8 @@ class TestBranchAndBoundWalk:
             return digits(index, n_digits, coeffs)
 
         monkeypatch.setattr(algebraic, "_digits", counting)
-        assert _block_walk(2.0, 12, (-1, 0, 1)) == _recursive_branch_and_bound(2.0, 12, (-1, 0, 1))
+        cs = (-1, 0, 1)
+        assert _search_branch_and_bound(2.0, 12, cs) == _recursive_branch_and_bound(2.0, 12, cs)
         assert 0 < sum(decoded) < 3**12 // 10
 
     @pytest.mark.parametrize("n", [41, 45])
@@ -644,7 +632,7 @@ class TestBranchAndBoundWalk:
         # {-1,0,1} polynomial has |P(2)| >= 1, and the tie rule picks the
         # one with leading -1: 1 + 2 + ... + 2^(n-2) - 2^(n-1) = -1.
         assert 3**n > 2**62
-        assert _block_walk(2.0, n, (-1, 0, 1)) == ((1,) * (n - 1) + (-1,), -1.0)
+        assert _search_branch_and_bound(2.0, n, (-1, 0, 1)) == ((1,) * (n - 1) + (-1,), -1.0)
 
 
 def _brute_force_ranking(xi, n, coeffs):

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from bconv import algebraic
+from bconv import algebraic, cli
 from bconv.cli import dispatch, load_system_spec
 
 DATA = Path(__file__).parent / "data"
@@ -23,6 +23,14 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 # several fixtures put atoms exactly on dyadic cell boundaries; the nudge
 # warning is exercised on purpose in the entropy tests, not here
 pytestmark = pytest.mark.filterwarnings("ignore::bconv.errors.BoundaryHazardWarning")
+
+
+def _perfbench_inputs():
+    """The benchmark's input module, perfbench/inputs.py."""
+    found = importlib.util.spec_from_file_location("perfbench_inputs", PERFBENCH / "inputs.py")
+    inputs = importlib.util.module_from_spec(found)
+    found.loader.exec_module(inputs)
+    return inputs
 
 
 def run_json(argv, tmp_path, name="out.json"):
@@ -226,9 +234,7 @@ class TestSubcommands:
         assert got["strategy"] == "meet-in-middle"
 
     def test_poly_search_strategies_agree_on_benchmark_xis(self, tmp_path):
-        found = importlib.util.spec_from_file_location("perfbench_inputs", PERFBENCH / "inputs.py")
-        inputs = importlib.util.module_from_spec(found)
-        found.loader.exec_module(inputs)
+        inputs = _perfbench_inputs()
         for xi in inputs.search_xis(300):
             argv = ["poly-search", "--xi", repr(xi), "--n", "11", "--coeffs", "-1,0,1"]
             reports = []
@@ -304,8 +310,6 @@ class TestExitCodes:
         assert "Traceback" not in err
 
     def test_other_arithmetic_errors_surface(self, monkeypatch):
-        from bconv import cli
-
         def divide(poly):
             raise ZeroDivisionError("division by zero")
 
@@ -585,9 +589,7 @@ class TestConsoleScript:
 class TestPinnedReports:
     def test_separation_tri2d_matches_pinned_report(self, tmp_path):
         # the benchmark's pinned report, checked here without a benchmark run
-        found = importlib.util.spec_from_file_location("perfbench_inputs", PERFBENCH / "inputs.py")
-        inputs = importlib.util.module_from_spec(found)
-        found.loader.exec_module(inputs)
+        inputs = _perfbench_inputs()
         path = tmp_path / "tri2d.json"
         path.write_text(json.dumps(inputs.SPECS["tri2d"]))
         got = run_json(["separation", "--spec", str(path), "--n", "10"], tmp_path)
