@@ -386,9 +386,8 @@ def tube_entropy_selfconv(
         raise ValueError("dimension mismatch")
     d = len(lam)
     chi = tuple(-math.log2(e) for e in lam)
-    rows = []
-    for j in range(1, d + 1):
-        a = math.floor(math.log2(k) / (2.0 * chi[j - 1])) if k > 1 else 0
-        rows.append(TubeRow(j, a, ent.saturation_defect(zk, lam, j, level - a, m), chi[j - 1]))
+    shifts = [math.floor(math.log2(k) / (2.0 * c)) if k > 1 else 0 for c in chi]
+    values = ent._saturation_defects(zk, lam, [(j, level - a, m) for j, a in enumerate(shifts, 1)])
+    rows = [TubeRow(j, a, v, c) for j, (a, v, c) in enumerate(zip(shifts, values, chi), 1)]
     top = max(rows, key=lambda r: r.value - r.chi)
     return TubeReport(k, m, level, tuple(rows), top.axis)

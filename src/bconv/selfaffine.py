@@ -362,18 +362,14 @@ def non_saturation_profile(
         raise ValueError("dimension mismatch")
     if m < 1:
         raise ValueError("window m must be >= 1")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise ValueError("eps must be positive and finite")
     chi = tuple(-math.log2(e) for e in lam)
-    rows = []
-    ok = True
-    for j in range(1, len(lam) + 1):
-        for n in n_range:
-            val = ent.saturation_defect(mu, lam, j, n, m)
-            rows.append((j, int(n), val))
-            if not (val < chi[j - 1] - eps):
-                ok = False
-    return NonSaturationProfile(eps, m, chi, tuple(rows), ok)
+    cells = [(j, int(n)) for j in range(1, len(lam) + 1) for n in n_range]
+    values = ent._saturation_defects(mu, lam, [(j, n, m) for j, n in cells])
+    rows = tuple((j, n, v) for (j, n), v in zip(cells, values))
+    ok = all(v < chi[j - 1] - eps for j, _, v in rows)
+    return NonSaturationProfile(eps, m, chi, rows, ok)
 
 
 # ---------------------------------------------------------------------------

@@ -497,6 +497,16 @@ class TestExitCodes:
         assert dispatch(argv) == 1
         assert "2^52" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("eps", ["nan", "inf"])
+    def test_nonsat_non_finite_eps_is_exit_1(self, eps, tmp_path, capsys):
+        # NaN passed an eps <= 0 test and printed NaN margins as invalid JSON
+        out = tmp_path / "out.json"
+        argv = ["nonsat", "--measure", str(PAIR_CSV), "--lam", "0.5", "--eps", eps, "--m", "2",
+                "--n", "1", "--out", str(out)]
+        assert dispatch(argv) == 1
+        assert "eps must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("strategy", ["exhaustive", "meet-in-middle", "branch-and-bound"])
     def test_search_overflow_is_exit_1(self, strategy, capsys):
         argv = ["poly-search", "--xi", "1e200", "--n", "4", "--coeffs", "-1,0,1"]
@@ -586,6 +596,14 @@ class TestConsoleScript:
         assert json.loads(res.stdout)["mahler"] == pytest.approx(1.618033988749895, abs=1e-7)
 
 
+@pytest.fixture(scope="module")
+def words_ops(tmp_path_factory):
+    """The benchmark's words ops at seed 300 by id, with their inputs
+    (among them the 177,147-row level-11 tri2d CSV) written once."""
+    ops, _, _ = _perfbench_inputs().build("words", 300, tmp_path_factory.mktemp("words"))
+    return {op["id"]: op["argv"] for op in ops}
+
+
 class TestPinnedReports:
     def test_separation_tri2d_matches_pinned_report(self, tmp_path):
         # the benchmark's pinned report, checked here without a benchmark run
@@ -595,3 +613,10 @@ class TestPinnedReports:
         got = run_json(["separation", "--spec", str(path), "--n", "10"], tmp_path)
         pinned = json.loads((PERFBENCH / "pinned.json").read_text())
         assert got == pinned["separation-tri2d"]
+
+    @pytest.mark.parametrize("op_id", ["nonsat-tri2d", "tube", "dim-third"])
+    def test_words_op_matches_pinned_report(self, op_id, words_ops, tmp_path):
+        out = tmp_path / "out.json"
+        assert dispatch([str(out) if a == "{out}" else a for a in words_ops[op_id]]) == 0
+        pinned = json.loads((PERFBENCH / "pinned.json").read_text())
+        assert json.loads(out.read_bytes()) == pinned[op_id]

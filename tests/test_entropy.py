@@ -27,7 +27,8 @@ from bconv.entropy import (
 from bconv.errors import BoundaryHazardWarning, BudgetExceededError
 from bconv.measures import DiscreteMeasure, delta, from_atoms
 from bconv.scales import ScaleVector
-from bconv.selfaffine import SystemSpec, kappa_estimate, non_saturation_profile
+from bconv.decompose import tube_entropy_selfconv
+from bconv.selfaffine import SystemSpec, build_level_n, kappa_estimate, non_saturation_profile
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 PAIR_CSV = Path(__file__).parent / "data" / "pair.csv"
@@ -36,6 +37,50 @@ PAIR_CSV = Path(__file__).parent / "data" / "pair.csv"
 def _uniform(points):
     n = len(points)
     return from_atoms((p, 1.0 / n) for p in points)
+
+
+def _lexsort_grouped_entropy(codes: np.ndarray, weights: np.ndarray, total: float) -> float:
+    """Entropy in bits of weights grouped by identical code rows.
+
+    Groups are visited in sorted code order, so the summation order is a
+    function of the partition alone.
+    """
+    n, c = codes.shape
+    if n == 0:
+        raise ValueError("measure has no atoms")
+    if c == 0 or n == 1:
+        return 0.0
+    order = np.lexsort(codes.T[::-1])
+    sc = codes[order]
+    sw = weights[order]
+    boundary = np.any(sc[1:] != sc[:-1], axis=1)
+    starts = np.concatenate(([0], np.nonzero(boundary)[0] + 1))
+    g = np.add.reduceat(sw, starts)
+    p = g / total
+    return float(-np.dot(p, np.log2(p)))
+
+
+def _key_cases():
+    """Seeded (name, key matrix) cases for the packed-code grouping."""
+    rng = np.random.default_rng(2024)
+    big = 2**52 - 1
+    near_limit = np.array([-big, -big + 1, -big + 3, big - 2, big])
+    wide = np.array([-(2**21), 0, 2**21])
+    a, b = rng.integers(-3, 3, 400), rng.integers(0, 5, 400)
+    return [
+        ("negative", rng.integers(-50, 50, (500, 3))),
+        ("no-columns", np.empty((40, 0), dtype=np.int64)),
+        ("one-column", rng.integers(-7, 7, (300, 1))),
+        ("one-row", rng.integers(-9, 9, (1, 4))),
+        ("one-row-no-columns", np.empty((1, 0), dtype=np.int64)),
+        ("repeated-columns", np.column_stack([a, b, a, b, a])),
+        ("near-2^52", rng.choice(near_limit, (600, 3))),
+        # ranges of 2^22 + 1 per column: three columns pass 2^62
+        ("ranks-the-code", rng.choice(wide, (700, 4))),
+        # a range of 2^53 after a code of 2000 values: the column is ranked too
+        ("ranks-the-column", np.column_stack([rng.permutation(4000) // 2, rng.choice(near_limit, 4000)])),
+        ("constant", np.full((50, 2), -4)),
+    ]
 
 
 class TestPartitionEntropy:
@@ -116,6 +161,50 @@ class TestKeyings:
         assert h == pytest.approx(1.0, abs=1e-12)  # 0.5 lands in cell 1 after nudge
 
 
+class TestPackedGrouping:
+    """The packed-code grouping against the lexsort grouping it replaced."""
+
+    @pytest.mark.parametrize("name, keys", _key_cases(), ids=[c[0] for c in _key_cases()])
+    def test_equals_lexsort_oracle(self, name, keys):
+        w = np.random.default_rng(len(keys)).uniform(0.1, 1.0, len(keys))
+        total = float(w.sum())
+        code = entropy._packed_code(list(keys.T))
+        got = entropy._grouped_entropy(code, w, total)
+        assert got == _lexsort_grouped_entropy(keys, w, total)
+        if keys.shape[1]:
+            # the stable sort of the code is lexsort's permutation
+            order = np.argsort(code, kind="stable")
+            assert np.array_equal(order, np.lexsort(keys.T[::-1]))
+
+    def test_rank_cases_pass_the_code_limit(self):
+        cases = dict(_key_cases())
+        spans = [int(c.max()) - int(c.min()) + 1 for c in cases["ranks-the-code"].T]
+        assert math.prod(spans[:3]) >= entropy._CODE_LIMIT
+        first, second = cases["ranks-the-column"].T
+        assert len(np.unique(first)) * (int(second.max()) - int(second.min()) + 1) >= entropy._CODE_LIMIT
+
+    def test_partition_and_conditional_entropy_equal_oracle(self):
+        rng = np.random.default_rng(31)
+        lam = ScaleVector((0.7, 0.4))
+        pts, wts = rng.uniform(-3, 3, (400, 2)), rng.uniform(0.1, 1, 400)
+        mu = from_atoms((tuple(p), w) for p, w in zip(pts, wts))
+        w, t = mu.weights, mu.mass
+        for n in range(0, 9, 2):
+            k = en(n, lam)
+            # a repeated column is dropped from the code, not from the oracle
+            doubled = k.join(k)
+            assert partition_entropy(mu, doubled) == _lexsort_grouped_entropy(
+                doubled.key_matrix(mu.points), w, t
+            )
+            fine, coarse = en(n + 3, lam), en_join_projected(n, 3, [2], lam)
+            joined = fine.join(coarse).key_matrix(mu.points)
+            oracle = _lexsort_grouped_entropy(joined, w, t) - _lexsort_grouped_entropy(
+                joined[:, len(fine.columns) :], w, t
+            )
+            assert conditional_entropy(mu, fine, coarse) == oracle, n
+            assert saturation_defect(mu, lam, 1, n, 3) == oracle / 3, n
+
+
 class TestConditionalEntropy:
     def test_fine_equals_coarse(self):
         mu = _uniform([(0.1,), (1.4,), (2.9,)])
@@ -162,6 +251,61 @@ class TestSaturationDefect:
         for j in (0, 3):
             with pytest.raises(ValueError, match="axis"):
                 saturation_defect(mu, (0.5, 0.25), j, 1, 1)
+
+    def test_profile_and_tube_key_each_distinct_column_once(self, monkeypatch):
+        keyed, batches = [], []
+        column_keys, column_key = entropy._column_keys, entropy._Column.keys
+        monkeypatch.setattr(
+            entropy, "_column_keys", lambda pts, k: batches.append(k) or column_keys(pts, k)
+        )
+        monkeypatch.setattr(
+            entropy._Column, "keys", lambda col, pts: keyed.append(col) or column_key(col, pts)
+        )
+        spec = SystemSpec(
+            (0.6180339887498949, 0.3819660112501051), ((0, 0), (1, 0), (0, 1)), (1 / 3, 1 / 3, 1 / 3)
+        )
+        mu = build_level_n(spec, 6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", BoundaryHazardWarning)
+            prof = non_saturation_profile(mu, spec.lam, 0.1, 3, range(1, 6))
+        assert len(prof.rows) == 10
+        distinct = {
+            c
+            for j, n in itertools.product((1, 2), range(1, 6))
+            for c in en(n + 3, spec.lam).columns
+            + en_join_projected(n, 3, [3 - j], spec.lam).columns
+        }
+        # per-defect keying would key 10 defects x 5 columns
+        assert len(batches) == 1 and sorted(keyed, key=repr) == sorted(distinct, key=repr)
+
+        keyed.clear()
+        batches.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", BoundaryHazardWarning)
+            rep = tube_entropy_selfconv((0, 0), (1, 0), 64, spec.lam, 4, level=3)
+        assert len(rep.rows) == 2
+        assert len(batches) == 1 and len(keyed) == len(set(keyed))
+
+    def test_one_hazard_warning_per_profile(self):
+        # dyadic atoms on cell edges; the profile keys axis 1 at levels 1..3
+        # and axis 2 at levels 2, 4, 6
+        pts = [(0.5, 0.25), (0.75, 0.125), (0.3, 0.7)]
+        nudged = sum(
+            float(p[axis] * 2**k).is_integer()
+            for p in pts
+            for axis, levels in ((0, (1, 2, 3)), (1, (2, 4, 6)))
+            for k in levels
+        )
+        assert nudged == 10
+        with pytest.warns(BoundaryHazardWarning) as rec:
+            non_saturation_profile(_uniform(pts), (0.5, 0.25), 0.1, 1, [1, 2])
+        assert len(rec) == 1
+        assert str(rec[0].message).startswith(f"{nudged} atom coordinate(s)")
+
+    def test_one_hazard_warning_per_tube(self):
+        with pytest.warns(BoundaryHazardWarning) as rec:
+            tube_entropy_selfconv((0, 0), (1, 0), 16, (0.5, 0.25), 2, level=2)
+        assert len(rec) == 1
 
 
 class TestAvgEntropy:

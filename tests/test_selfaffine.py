@@ -417,6 +417,9 @@ class TestNonSaturation:
             non_saturation_profile(mu, (0.5,), 0.1, 0, [1])
         with pytest.raises(ValueError, match="eps must be positive"):
             non_saturation_profile(mu, (0.5,), 0.0, 2, [1])
+        for eps in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="eps must be positive"):
+                non_saturation_profile(mu, (0.5,), eps, 2, [1])
 
 
 def _unmerged_separation(spec, n_max):
