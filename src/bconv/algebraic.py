@@ -25,6 +25,7 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .entropy import _packed_code
 from .errors import BudgetExceededError, UncertifiedError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -50,11 +51,22 @@ _ROOT_AMBIGUITY_TOL = 1e-9
 _WEIERSTRASS_STEPS = 200
 _GRID_BITS_MAX = 1088  # about 320 decimal digits
 _BB_BLOCK = 1 << 12  # frontier nodes per block of the branch-and-bound walk
+_DEFAULT_BUDGET = 1 << 24  # rows, atoms or evaluations a call builds unless given a budget
 
 
 # ---------------------------------------------------------------------------
 # Integer polynomials
 # ---------------------------------------------------------------------------
+
+
+def _as_int(c, what: str) -> int:
+    """c as an int; ValueError unless c is an integer-valued number."""
+    try:
+        if int(c) == c:
+            return int(c)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{what} must be integers")
 
 
 @dataclass(frozen=True)
@@ -67,12 +79,7 @@ class IntPolynomial:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        cs = []
-        for c in self.coeffs:
-            ic = int(c)
-            if ic != c:
-                raise ValueError("coefficients must be integers")
-            cs.append(ic)
+        cs = [_as_int(c, "coefficients") for c in self.coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -321,26 +328,6 @@ def _scaled_powers(minpoly: IntPolynomial) -> Iterator[list[int]]:
         row = [lead * s - top * c for s, c in zip([0] + row[:-1], cs)]
 
 
-def _group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Group the equal rows of an int64 matrix, numbered by first occurrence.
-
-    Returns (ids, first): ids[i] is the group of row i and first[g] the
-    index of group g's first row, so first is increasing.  Each column is
-    dense-ranked and folded into the running code, which is then re-ranked;
-    a folded code is below rows^2, so it never wraps while rows < 2^31.
-    np.unique(rows, axis=0) gives the same grouping but sorts the rows as
-    opaque byte strings, about 4x slower on the golden and tri2d depths.
-    """
-    code = np.zeros(len(rows), dtype=np.int64)
-    for col in rows.T:
-        uniq, rank = np.unique(col, return_inverse=True)
-        _, first, code = np.unique(code * len(uniq) + rank, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    relabel = np.empty_like(order)
-    relabel[order] = np.arange(len(order))
-    return relabel[code], first[order]
-
-
 def _state_limit(spec: "SystemSpec", n: int) -> tuple[int, str] | None:
     """The first depth <= n whose word-state entries could reach 2^62.
 
@@ -372,11 +359,12 @@ def _word_states(spec: "SystemSpec", n: int, budget: int) -> Iterator[tuple[np.n
     side.  Two words share a map iff their rows are equal, so depth k has
     one row per distinct length-k map, weighted by its summed word
     probability.  Each depth extends the previous states, then the maps in
-    spec order (child = lead * S + a * T[depth]).  Groups are numbered by
-    first occurrence in that child order, and np.bincount adds each group's
-    terms in input order, the order a dict accumulating w * p per child
-    would use; so the rows come out in that dict's insertion order and
-    every weight is the same float sum.
+    spec order (child = lead * S + a * T[depth]).  Equal child rows share a
+    packed code (entropy._packed_code); their groups are numbered by first
+    occurrence in that child order, and np.bincount adds each group's terms
+    in input order, the order a dict accumulating w * p per child would
+    use; so the rows come out in that dict's insertion order and every
+    weight is the same float sum.
 
     The call is refused before any state is enumerated when some depth up
     to n could carry entries past 2^62 (_state_limit), and later when a
@@ -399,10 +387,11 @@ def _word_states(spec: "SystemSpec", n: int, budget: int) -> Iterator[tuple[np.n
             )
         power = np.array(sum(ts, []), dtype=np.int64)
         child = ((lead * rows)[:, None, :] + (digits * power)[None, :, :]).reshape(count, -1)
-        ids, first = _group_rows(child)
-        rows = child[first]
+        _, first, ids = np.unique(_packed_code(list(child.T)), return_index=True, return_inverse=True)
+        order = np.argsort(first)  # the groups by first occurrence; argsort(order) inverts it
+        rows = child[first[order]]
         terms = (weights[:, None] * probs[None, :]).ravel()
-        weights = np.bincount(ids, weights=terms, minlength=len(first))
+        weights = np.bincount(np.argsort(order)[ids], weights=terms, minlength=len(first))
         yield rows, weights
 
 
@@ -901,7 +890,7 @@ def min_value_poly_search(
     n: int,
     coeff_set: Sequence[int],
     strategy: str = "meet-in-middle",
-    budget: int = 1 << 24,
+    budget: int = _DEFAULT_BUDGET,
 ) -> SearchResult:
     """Nonzero P with deg < n and coefficients in coeff_set minimizing |P(xi)|.
 
@@ -977,7 +966,7 @@ def approximate_parameters(
     axes: list[AxisApproximation] = []
     for j, (lj, dset) in enumerate(zip(lam, diff_sets), start=1):
         _, _, coeffs = _validate_search(lj, n, dset)
-        cands = _smallest(lj, n, coeffs, top_k, 1 << 24)
+        cands = _smallest(lj, n, coeffs, top_k, _DEFAULT_BUDGET)
         chosen = None
         fallback = None  # nearest real root anywhere, for the failure report
         for absval, digits, _ in cands:
@@ -1036,7 +1025,7 @@ class OverlapReport:
     n_max: int
 
 
-def exact_overlap_depth(spec: "SystemSpec", n_max: int, budget: int = 1 << 24) -> OverlapReport:
+def exact_overlap_depth(spec: "SystemSpec", n_max: int, budget: int = _DEFAULT_BUDGET) -> OverlapReport:
     """Smallest word length with an exact coincidence, per axis and jointly.
 
     All length-n maps share the diagonal part, so two words collide exactly
@@ -1057,17 +1046,18 @@ def exact_overlap_depth(spec: "SystemSpec", n_max: int, budget: int = 1 << 24) -
     edges = np.cumsum([0] + [p.degree for p in spec.minpolys])
     limit = _state_limit(spec, n_max)
     scan = n_max if limit is None else limit[0] - 1
-    for depth, (rows, _) in enumerate(_word_states(spec, scan, budget), start=1):
+    # scan = 0 (a digit past 2^62) must not build even the int64 digit table
+    for depth, (rows, _) in enumerate(_word_states(spec, scan, budget) if scan else (), start=1):
         # The axis-j values of all words are the projection of the joint states.
         expected = k**depth
         for j in range(spec.dim):
-            if per_axis[j] is None and len(_group_rows(rows[:, edges[j] : edges[j + 1]])[1]) < expected:
+            axis = rows[:, edges[j] : edges[j + 1]]
+            if per_axis[j] is None and len(np.unique(_packed_code(list(axis.T)))) < expected:
                 per_axis[j] = depth
         if joint is None and len(rows) < expected:
             joint = depth
         if joint is not None and all(v is not None for v in per_axis):
             break
-    else:
-        if limit is not None:
-            raise BudgetExceededError(limit[1])
+    if limit is not None and (joint is None or None in per_axis):
+        raise BudgetExceededError(limit[1])
     return OverlapReport(tuple(per_axis), joint, n_max)

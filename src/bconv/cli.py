@@ -37,6 +37,13 @@ from .selfaffine import SystemSpec
 __all__ = ["load_system_spec", "dispatch", "main"]
 
 
+def _numbers(value, refusal: str) -> tuple:
+    """A nonempty JSON list of numbers as a tuple; ValueError(refusal) otherwise."""
+    if not value or not isinstance(value, list) or any(type(v) not in (int, float) for v in value):
+        raise ValueError(refusal)
+    return tuple(value)
+
+
 def load_system_spec(path) -> SystemSpec:
     """Read a system from JSON: lambda, maps (a, p), optional minpolys."""
     with open(path) as fh:
@@ -48,23 +55,21 @@ def load_system_spec(path) -> SystemSpec:
         raise ValueError("system spec must be a JSON object")
     if "lambda" not in raw or "maps" not in raw:
         raise ValueError("system spec needs 'lambda' and 'maps'")
-    lam = raw["lambda"]
-    if not isinstance(lam, list) or not lam:
-        raise ValueError("'lambda' must be a nonempty list")
+    lam = _numbers(raw["lambda"], "'lambda' must be a nonempty list of numbers")
     maps = raw["maps"]
     if not isinstance(maps, list) or len(maps) < 2:
         raise ValueError("'maps' must list at least two maps")
-    trans = []
-    probs = []
-    for entry in maps:
-        if not isinstance(entry, dict) or "a" not in entry or "p" not in entry:
-            raise ValueError("each map needs 'a' and 'p'")
-        trans.append(tuple(entry["a"]))
-        probs.append(entry["p"])
-    minpolys = None
-    if raw.get("minpolys") is not None:
-        minpolys = tuple(IntPolynomial(tuple(c)) for c in raw["minpolys"])
-    return SystemSpec(ScaleVector(tuple(lam)), tuple(trans), tuple(probs), minpolys)
+    if not all(isinstance(entry, dict) and "a" in entry and "p" in entry for entry in maps):
+        raise ValueError("each map needs 'a' and 'p'")
+    trans = tuple(_numbers(entry["a"], "each 'a' must be a nonempty list of integers") for entry in maps)
+    probs = _numbers([entry["p"] for entry in maps], "each 'p' must be a number")
+    minpolys = raw.get("minpolys")
+    if minpolys is not None:
+        refusal = "'minpolys' must be a list of nonempty integer lists"
+        if not isinstance(minpolys, list):
+            raise ValueError(refusal)
+        minpolys = tuple(IntPolynomial(_numbers(c, refusal)) for c in minpolys)
+    return SystemSpec(ScaleVector(lam), trans, probs, minpolys)
 
 
 # ---------------------------------------------------------------------------

@@ -310,16 +310,20 @@ def _column_keys(points: np.ndarray, keying: Keying) -> dict[_Column, np.ndarray
 
 
 def _packed_code(columns: Sequence[np.ndarray]) -> np.ndarray | None:
-    """One int64 code per row, ordered as the rows of the key columns are
-    ordered lexicographically, first column most significant; None when
-    there are no columns.
+    """One int64 code per row, ordered as the rows of the integer columns
+    are ordered lexicographically, first column most significant; None when
+    there are no columns.  It is the one grouping of equal integer rows: the
+    partition entropies group cell keys by it, and algebraic._word_states
+    and exact_overlap_depth group exact word states by it.
 
     The code is mixed-radix: each column enters as its offset from its
     minimum, with radix its range.  Once the product of the radices would
     reach _CODE_LIMIT the running code is replaced by its rank among its
     distinct values (and the column by its rank too, if that is still not
     enough), which keeps the order and every tie.  A column that repeats an
-    earlier one could not change the order; callers drop such columns.
+    earlier one could not change the order; the partition entropies drop
+    such columns.  Columns must lie in (-2^62, 2^62): cell keys are below
+    2^52 and word-state entries below algebraic._STATE_LIMIT = 2^62.
     """
     code, size = None, 1
     for col in columns:
@@ -334,7 +338,8 @@ def _packed_code(columns: Sequence[np.ndarray]) -> np.ndarray | None:
         if size * span >= _CODE_LIMIT:
             uniq, col = np.unique(col, return_inverse=True)
             lo, span = 0, len(uniq)
-        # code * span < 2^62 and |col| < 2^53, so no step leaves int64.
+        # code * span < 2^62 - span and |col| < 2^62, so code * span + col
+        # lies in (-2^62, 2^63 - span) and no step leaves int64.
         code *= span
         code += col
         if lo:

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from . import entropy as ent
-from .algebraic import AlgebraicNumber, IntPolynomial, _is_irreducible, _word_states
+from .algebraic import _DEFAULT_BUDGET, AlgebraicNumber, IntPolynomial, _as_int, _is_irreducible, _word_states
 from .errors import BudgetExceededError, _warn_at_caller
 from .measures import DiscreteMeasure, ScaleBy, convolve, pushforward
 from .scales import ScaleVector, _as_scale, validate_contraction_vector
@@ -45,7 +45,6 @@ __all__ = [
     "separation_profile",
 ]
 
-_DEFAULT_ATOM_BUDGET = 1 << 24
 _DEFAULT_SEPARATION_BUDGET = 1 << 22
 
 
@@ -62,7 +61,7 @@ class SystemSpec:
         lam = validate_contraction_vector(self.lam)
         object.__setattr__(self, "lam", lam)
         d = len(lam)
-        trans = tuple(tuple(int(a) for a in row) for row in self.translations)
+        trans = tuple(tuple(_as_int(a, "translation entries") for a in row) for row in self.translations)
         if len(trans) < 2:
             raise ValueError("a system needs at least two maps")
         if any(len(row) != d for row in trans):
@@ -73,7 +72,7 @@ class SystemSpec:
         probs = tuple(float(p) for p in self.probs)
         if len(probs) != len(trans):
             raise ValueError("p must have one entry per map")
-        if any(p <= 0.0 for p in probs):
+        if not all(p > 0.0 for p in probs):  # NaN too
             raise ValueError("p entries must be positive")
         if abs(math.fsum(probs) - 1.0) > 1e-12:
             raise ValueError("p must sum to 1")
@@ -159,7 +158,7 @@ def _level_measures(spec: SystemSpec, n: int, budget: int, probs: Sequence[float
 def build_level_n(
     spec: SystemSpec,
     n: int,
-    budget: int = _DEFAULT_ATOM_BUDGET,
+    budget: int = _DEFAULT_BUDGET,
 ) -> DiscreteMeasure:
     """The level-n word measure: weight p_u at the image of 0 under word u.
 
@@ -180,7 +179,7 @@ def build_factor(
     spec: SystemSpec,
     a: int,
     b: int,
-    budget: int = _DEFAULT_ATOM_BUDGET,
+    budget: int = _DEFAULT_BUDGET,
 ) -> DiscreteMeasure:
     """Convolution factor over digit positions [a, b): S_{lambda^a} of level b-a.
 
@@ -253,7 +252,7 @@ class KappaReport:
 def kappa_estimate(
     spec: SystemSpec,
     n: int,
-    budget: int = _DEFAULT_ATOM_BUDGET,
+    budget: int = _DEFAULT_BUDGET,
 ) -> KappaReport:
     """Normalized level-n partition entropy (1/n) H(mu^(n), E_n).
 
@@ -312,7 +311,7 @@ def rw_entropy_upper(spec: SystemSpec, n: int) -> RandomWalkReport:
             "random-walk entropy needs minpolys, the minimal polynomials of lambda; "
             "'bconv approx --rw-n' finds nearby algebraic parameters and bounds their walk entropy"
         )
-    for _, weights in _word_states(spec, n, _DEFAULT_ATOM_BUDGET):
+    for _, weights in _word_states(spec, n, _DEFAULT_BUDGET):
         pass  # only the depth-n states are needed
     weights = np.sort(weights)
     h = float(-np.dot(weights, np.log2(weights)))

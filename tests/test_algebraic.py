@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bconv import algebraic
+from bconv import algebraic, entropy
 from bconv.algebraic import (
     _canonical_value,
     _powers,
@@ -796,6 +796,12 @@ class TestExactOverlapDepth:
         with pytest.raises(ValueError, match="n_max"):
             exact_overlap_depth(s, 0)
 
+    def test_digit_past_int64_is_refused(self):
+        # depth 1 already passes 2^62; the digit table raised OverflowError
+        s = SystemSpec((0.5,), ((0,), (2**70,)), (0.5, 0.5), ((-1, 2),))
+        with pytest.raises(BudgetExceededError, match="depth 1 may reach"):
+            exact_overlap_depth(s, 3)
+
 
 def _seeded_system(lam, minpolys, k, seed):
     """k distinct translation rows in [-4, 4]^d and random probabilities."""
@@ -892,6 +898,12 @@ class TestWordStatesOracle:
         assert exact_overlap_depth(spec, n_max) == OverlapReport(tuple(per_axis), joint, n_max)
 
 
+# Digits 0 and 2^45 on lambda = (1/3, 1/5): at depth 7 the axis columns span
+# about 2^55 and 2^59 and axis 1 takes 2^7 values, so the packed code of the
+# child rows ranks the code and then the column too.
+WIDE = SystemSpec((1 / 3, 1 / 5), ((0, 0), (2**45, 0), (0, 2**45)), (1 / 3,) * 3, ((-1, 3), (-1, 5)))
+
+
 def _oracle_specs():
     pm1 = ((1,), (-1,))
     tri2d = SystemSpec(
@@ -905,6 +917,7 @@ def _oracle_specs():
         pytest.param(SystemSpec((1 / 3,), pm1, (0.5, 0.5), ((-1, 3),)), 14, id="third"),
         pytest.param(tri2d, 9, id="tri2d"),
         pytest.param(SystemSpec((0.001,), ((0,), (1,)), (0.5, 0.5), ((1, -1000),)), 7, id="lead-1000"),
+        pytest.param(WIDE, 7, id="ranks-code-and-column"),
     ]
     for i, (lam, minpolys, k, seed, n_max, _) in enumerate(_WORD_STATE_FIXTURES):
         out.append(pytest.param(_seeded_system(lam, minpolys, k, seed), n_max, id=f"fixture{i}"))
@@ -933,3 +946,12 @@ class TestIntegerWordStates:
             assert scaled == list(states), depth
             assert weights.tolist() == list(states.values()), depth
         assert depth == n
+
+    def test_wide_case_passes_the_code_limit(self):
+        # the child rows of a depth have the columns of its distinct states
+        *_, (rows, _) = _word_states(WIDE, 7, 1 << 24)
+        first, second = rows.T
+        span = int(second.max()) - int(second.min()) + 1
+        assert (int(first.max()) - int(first.min()) + 1) * span >= entropy._CODE_LIMIT
+        assert len(np.unique(first)) * span >= entropy._CODE_LIMIT
+        assert int(np.abs(rows).max()) < algebraic._STATE_LIMIT

@@ -273,6 +273,33 @@ class TestExitCodes:
         assert dispatch(["dim", "--spec", str(p), "--n", "3"]) == 1
         assert "lambda" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            # 1.5 was truncated to 1 and the run exited 0
+            ("a", [1.5], "translation entries must be integers"),
+            ("a", 1, "each 'a' must be a nonempty list of integers"),
+            ("p", None, "each 'p' must be a number"),
+            # NaN passed every check and rw-entropy printed "value": NaN
+            ("p", float("nan"), "p entries must be positive"),
+            ("lambda", [[0.6180339887498949]], "'lambda' must be a nonempty list of numbers"),
+            ("minpolys", [5], "'minpolys' must be a list of nonempty integer lists"),
+        ],
+        ids=["a-1.5", "a-scalar", "p-null", "p-nan", "lambda-nested", "minpoly-scalar"],
+    )
+    def test_malformed_spec_field_is_exit_1(self, tmp_path, capsys, field, value, message):
+        # the scalar a, null p, nested lambda and scalar minpoly escaped
+        # dispatch as a TypeError traceback
+        raw = json.loads(GOLDEN_SPEC.read_text())
+        if field in ("a", "p"):
+            raw["maps"][0][field] = value
+        else:
+            raw[field] = value
+        p = tmp_path / "malformed.json"
+        p.write_text(json.dumps(raw))
+        assert dispatch(["dim", "--spec", str(p), "--n", "3"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_bad_range(self, capsys):
         assert dispatch(["dim", "--spec", str(THIRD_SPEC), "--n", "5..3"]) == 1
         assert "range" in capsys.readouterr().err
@@ -320,10 +347,10 @@ class TestExitCodes:
     def test_rw_state_bound_refusal_is_exit_2(self, capsys, monkeypatch):
         # 2^40 exact word states: refused by the int64 bound before any
         # child rows are grouped
-        def no_rows(rows):
+        def no_rows(columns):
             raise AssertionError("word states were enumerated")
 
-        monkeypatch.setattr(algebraic, "_group_rows", no_rows)
+        monkeypatch.setattr(algebraic, "_packed_code", no_rows)
         assert dispatch(["rw-entropy", "--spec", str(THIRD_SPEC), "--n", "40"]) == 2
         assert "2^62" in capsys.readouterr().err
 

@@ -74,6 +74,13 @@ class TestSystemSpec:
         with pytest.raises(ValueError, match="distinct"):
             SystemSpec((0.5,), ((1,), (1,)), HALF)
 
+    def test_translations_must_be_integers(self):
+        # 1.5 was truncated to 1 without a word
+        for bad in (1.5, float("inf"), None):
+            with pytest.raises(ValueError, match="translation entries must be integers"):
+                SystemSpec((0.5,), ((bad,), (-1,)), HALF)
+        assert SystemSpec((0.5,), ((2.0,), (-1,)), HALF).translations == ((2,), (-1,))
+
     def test_translation_rows_match_dimension(self):
         with pytest.raises(ValueError, match="match the dimension"):
             SystemSpec((0.5,), ((1, 2), (0, 0)), HALF)
@@ -326,9 +333,9 @@ class TestRandomWalkEntropy:
 
     def test_row_budget_refusal(self, monkeypatch):
         # golden depths 1..6 build 2, 4, 8, 14, 24, 40 child rows
-        monkeypatch.setattr(selfaffine, "_DEFAULT_ATOM_BUDGET", 40)
+        monkeypatch.setattr(selfaffine, "_DEFAULT_BUDGET", 40)
         assert rw_entropy_upper(golden_spec(), 6).distinct_maps == 33
-        monkeypatch.setattr(selfaffine, "_DEFAULT_ATOM_BUDGET", 39)
+        monkeypatch.setattr(selfaffine, "_DEFAULT_BUDGET", 39)
         with pytest.raises(BudgetExceededError, match="depth 6 builds 40 word-state rows"):
             rw_entropy_upper(golden_spec(), 6)
 
