@@ -98,7 +98,7 @@ class IntPolynomial:
         return not self.coeffs
 
     def __call__(self, x):
-        """Horner evaluation; works for float, Fraction, and mpmath inputs."""
+        """Horner evaluation; works for float and Fraction inputs."""
         acc = 0 * x
         for c in reversed(self.coeffs):
             acc = acc * x + c
@@ -235,44 +235,42 @@ class AlgebraicNumber:
     def from_root_near(poly: IntPolynomial, x0: float) -> "AlgebraicNumber":
         """The real root of poly nearest x0, with its minimal polynomial.
 
-        poly need not be irreducible; it is factored over Z and the factor
-        owning the nearest real root becomes the minimal polynomial.
+        poly need not be irreducible: the root is the `_real_roots` entry
+        whose isolating interval lies nearest x0.
         """
         if poly.is_zero() or poly.degree < 1:
             raise ValueError("polynomial must have degree >= 1")
-        import sympy
-
-        best = None
-        for factor, _mult in _sympy_poly(poly).factor_list()[1]:
-            if factor.degree() < 1:
-                continue
-            for (lo, hi), _m in factor.intervals():
-                lo_f, hi_f = Fraction(lo.p, lo.q), Fraction(hi.p, hi.q)
-                mid = float((lo_f + hi_f) / 2)
-                dist = abs(mid - x0)
-                if best is None or dist < best[0]:
-                    best = (dist, factor, lo_f, hi_f)
-        if best is None:
+        if not math.isfinite(x0):
+            raise ValueError("x0 must be finite")
+        roots = _real_roots(poly)
+        if not roots:
             raise ValueError("polynomial has no real roots")
-        _, factor, lo_f, hi_f = best
-        coeffs = tuple(int(c) for c in reversed(factor.all_coeffs()))
-        minpoly = IntPolynomial(coeffs).primitive()
-        lo_f, hi_f = _widen_to_sign_change(minpoly, lo_f, hi_f)
-        return AlgebraicNumber(minpoly, lo_f, hi_f)
+        x = Fraction(float(x0))
+        _, minpoly, lo, hi = min(roots, key=lambda r: max(r[2] - x, x - r[3], 0))
+        return AlgebraicNumber(minpoly, lo, hi)
 
 
-def _widen_to_sign_change(p: IntPolynomial, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-    """Grow a (possibly degenerate) isolating interval until signs differ."""
-    if lo == hi:
-        step = Fraction(1, 4)
-        lo, hi = lo - step, hi + step
-    while p(lo) * p(hi) >= 0 or _sympy_poly(p).count_roots(lo, hi) != 1:
-        width = hi - lo
-        lo -= width / 4
-        hi += width / 4
-        if width > 4 * (abs(hi) + abs(lo) + 1):  # pragma: no cover
-            raise AssertionError("failed to build an isolating interval")
-    return lo, hi
+def _real_roots(poly: IntPolynomial) -> list[tuple[float, IntPolynomial, Fraction, Fraction]]:
+    """Each distinct real root of poly once, in increasing order, as
+    (float, primitive minpoly, low, high).
+
+    poly is factored once over Z; each irreducible factor's isolating
+    intervals are refined to width at most 2^-60, and the float is the
+    interval midpoint.  sympy isolates a rational root as a point; its
+    factor is linear, so a symmetric widening still isolates it.
+    """
+    if poly.degree < 1:
+        return []
+    eps = Fraction(1, 2**60)
+    roots = []
+    for factor, _mult in _sympy_poly(poly).factor_list()[1]:
+        minpoly = IntPolynomial(tuple(int(c) for c in reversed(factor.all_coeffs()))).primitive()
+        for (lo, hi), _m in factor.intervals(eps=eps):
+            lo, hi = Fraction(lo.p, lo.q), Fraction(hi.p, hi.q)
+            if lo == hi:
+                lo, hi = lo - eps, hi + eps
+            roots.append((float((lo + hi) / 2), minpoly, lo, hi))
+    return sorted(roots, key=lambda r: r[0])
 
 
 # ---------------------------------------------------------------------------
@@ -971,18 +969,17 @@ def approximate_parameters(
         fallback = None  # nearest real root anywhere, for the failure report
         for absval, digits, _ in cands:
             poly = IntPolynomial(digits)
-            roots = _real_roots_float(poly)
-            for r in roots:
-                if fallback is None or abs(r - lj) < abs(fallback[2] - lj):
-                    fallback = (absval, poly, r)
-            inside = [r for r in roots if 0.0 < r < 1.0]
+            roots = _real_roots(poly)
+            for root in roots:
+                if fallback is None or abs(root[0] - lj) < abs(fallback[2] - lj):
+                    fallback = (absval, poly, root[0])
+            inside = [root for root in roots if 0.0 < root[0] < 1.0]
             if inside:
-                r = min(inside, key=lambda v: abs(v - lj))
-                chosen = (absval, poly, r)
+                chosen = (absval, poly, min(inside, key=lambda root: abs(root[0] - lj)))
                 break
         if chosen is not None:
-            absval, poly, r = chosen
-            eta = AlgebraicNumber.from_root_near(poly, r)
+            absval, poly, (_, minpoly, lo, hi) = chosen
+            eta = AlgebraicNumber(minpoly, lo, hi)
             ef = eta.to_float()
             axes.append(AxisApproximation(j, "ok", poly, absval, eta, ef, abs(ef - lj)))
         elif fallback is not None:
@@ -1001,14 +998,6 @@ def approximate_parameters(
         )
     dists = [a.distance for a in axes if a.distance is not None]
     return ApproxReport(tuple(axes), eta, in_omega, max(dists) if dists else None)
-
-
-def _real_roots_float(poly: IntPolynomial) -> list[float]:
-    if poly.degree < 1:
-        return []
-    import sympy
-
-    return [float(r.evalf(25)) for r in _sympy_poly(poly).real_roots()]
 
 
 # ---------------------------------------------------------------------------

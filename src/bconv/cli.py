@@ -15,6 +15,7 @@ refusal.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Sequence
@@ -419,6 +420,7 @@ def _cmd_approx(args) -> dict:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # handlers look library functions up at call time
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="bconv", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)

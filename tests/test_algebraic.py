@@ -14,6 +14,7 @@ from bconv import algebraic, entropy
 from bconv.algebraic import (
     _canonical_value,
     _powers,
+    _real_roots,
     _rev_key,
     _search_branch_and_bound,
     _smallest,
@@ -204,6 +205,56 @@ class TestAlgebraicNumber:
     def test_from_root_near_degenerate_inputs(self):
         with pytest.raises(ValueError, match="degree >= 1"):
             AlgebraicNumber.from_root_near(IntPolynomial((3,)), 0.5)
+
+    def test_from_root_near_reads_nearest_interval(self):
+        # 1 - x - x^3 + x^5 = (x - 1)(x^4 + x^3 - 1); the root 0.819... lies
+        # nearer the quartic's unrefined isolating interval than its midpoint
+        p = IntPolynomial((1, -1, 0, -1, 0, 1))
+        got = AlgebraicNumber.from_root_near(p, 0.8191725133961645)
+        assert got.minpoly.coeffs == (-1, 0, 0, 1, 1)
+        assert got.to_float() == 0.8191725133961645
+
+    @pytest.mark.parametrize("x0", [math.nan, math.inf, -math.inf])
+    def test_from_root_near_non_finite_x0_refused(self, x0):
+        with pytest.raises(ValueError, match="x0 must be finite"):
+            AlgebraicNumber.from_root_near(IntPolynomial((0, 2, -2, -2)), x0)
+
+
+def _oracle_real_roots(poly):
+    """Real roots with multiplicity, sympy real_roots() rounded via 25 digits."""
+    return [float(r.evalf(25)) for r in algebraic._sympy_poly(poly).real_roots()]
+
+
+def _sign_polys(count, seed=17):
+    """Seeded {-1,0,1} polynomials of degree 3..12 with leading coefficient 1."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        c = rng.integers(-1, 2, int(rng.integers(3, 13)) + 1).tolist()
+        c[-1] = 1
+        out.append(IntPolynomial(tuple(c)))
+    return out
+
+
+class TestRealRoots:
+    def test_distinct_roots_match_sympy_sweep(self):
+        for p in _sign_polys(200):
+            roots = _real_roots(p)
+            assert [r[0] for r in roots] == sorted(set(_oracle_real_roots(p))), p
+            for x, minpoly, lo, hi in roots:
+                assert lo < hi and hi - lo <= Fraction(2, 2**60), p
+                assert AlgebraicNumber.from_root_near(p, x).to_float() == x, (p, x)
+                assert minpoly == minpoly.primitive() and p(x) == pytest.approx(0.0, abs=1e-9)
+
+    def test_rational_root_is_widened_symmetrically(self):
+        (x, minpoly, lo, hi), = _real_roots(IntPolynomial((-1, 3)))
+        assert minpoly.coeffs == (-1, 3)
+        assert (lo + hi) / 2 == Fraction(1, 3)
+        assert x == 1 / 3
+
+    def test_constant_has_none(self):
+        assert _real_roots(IntPolynomial((5,))) == []
+        assert _real_roots(IntPolynomial(())) == []
 
 
 class TestMahlerMeasure:
@@ -734,6 +785,17 @@ class TestApproximateParameters:
         ax = rep.axes[0]
         assert ax.status == "ok"
         assert ax.eta is not None and ax.eta.minpoly.coeffs == (-1, 1, 1)
+
+    def test_eta_is_the_scanned_root(self):
+        # the candidate -1 + x + x^4 - x^6 has a root at 0.856...; the chosen
+        # eta must be that root, not the rational root 1 of another factor
+        lam = 0.8566748838545029
+        rep = approximate_parameters((lam,), 7, ((-1, 0, 1),))
+        ax = rep.axes[0]
+        assert ax.status == "ok"
+        assert ax.poly.coeffs == (-1, 1, 0, 0, 1, 0, -1)
+        assert rep.eta == (lam,)
+        assert rep.in_omega
 
     def test_axis_count_validation(self):
         with pytest.raises(ValueError, match="per axis"):

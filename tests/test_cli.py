@@ -255,6 +255,19 @@ class TestSubcommands:
         assert got["rw_entropy_upper"] == pytest.approx(0.8176065103715944, abs=1e-9)
         assert got["rw_n"] == 6
 
+    def test_approx_eta_is_the_scanned_root(self, tmp_path):
+        # the search finds -1 + x + x^4 - x^6; eta is its root at lambda,
+        # not the root 1 of its factor x - 1
+        lam = 0.8566748838545029
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(
+            {"lambda": [lam], "maps": [{"a": [0], "p": 0.5}, {"a": [1], "p": 0.5}]}
+        ))
+        got = run_json(["approx", "--spec", str(spec), "--n", "7"], tmp_path)
+        assert got["rows"][0]["poly"] == [-1, 1, 0, 0, 1, 0, -1]
+        assert got["eta"] == [lam]
+        assert got["in_omega"] is True
+
     def test_stdout_when_no_out(self, capsys):
         assert dispatch(["mahler", "--poly", "2"]) == 0
         got = json.loads(capsys.readouterr().out)
