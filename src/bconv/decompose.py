@@ -19,6 +19,7 @@ window eps <= |s_n^{-1}(x - y)| <= 1/eps at the statement scale.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -107,11 +108,15 @@ def bernoulli_decompose(
     s_pair = seq.term(n + 2 * big_n).as_array()
     s_stmt = seq.term(n).as_array()
     lam_arr = lam.as_array()
-    r_high = 2.0 * float(np.linalg.norm(lam_arr ** (-3.0 * big_n)))
+    with np.errstate(all="ignore"):  # refused below if not finite
+        r_high = 2.0 * float(np.linalg.norm(lam_arr ** (-3.0 * big_n)))
+        z = nu.points / s_pair
     r_low = 1.0 / 6.0
+    if not (math.isfinite(r_high * r_high) and np.isfinite(z).all()):
+        raise ValueError(f"window 2|lambda^(-3N)|, its square or rescaled atoms leave float64 at n = {n}, N = {big_n}")
 
     k = nu.n_atoms
-    ei, ej, dist = _admissible_pairs(nu.points / s_pair, r_low, r_high)
+    ei, ej, dist = _admissible_pairs(z, r_low, r_high)
     weights = nu.weights
     if len(ei) == 0:
         return Decomposition(nu, (), 0.0, nu.mass, r_low, r_high, "max-flow", 0.0)
@@ -144,17 +149,36 @@ def bernoulli_decompose(
 
 
 def _admissible_pairs(z, r_low, r_high):
-    """Atom pairs i < j at Euclidean distance in [r_low, r_high].
-
-    Returns index arrays ei, ej in sorted (i, j) order and the distances.
+    """Row pairs i < j at Euclidean distance in [r_low, r_high], in sorted order,
+    with _row_norms distances: the one neighbour search.  Grid cells (Bentley,
+    Stanat and Williams 1977) are the dense ranks of floor(z_j / side), side
+    doubling from r_high while the packed code would reach 2^62; a pair is found
+    from its one cell step lexicographically >= 0, later rows only in its own cell.
     """
-    from scipy.spatial import cKDTree
-
-    cand = cKDTree(z).query_pairs(r_high * (1 + 1e-12), output_type="ndarray")
-    cand = cand[np.lexsort((cand[:, 1], cand[:, 0]))]
-    dist = _row_norms(z[cand[:, 0]] - z[cand[:, 1]])
+    n, d = z.shape
+    side, radix = r_high / 2, [math.inf]
+    while math.prod(radix) >= 2**62:
+        side *= 2
+        ranks = [np.unique(np.floor(col / side), return_inverse=True)[1] + 1 for col in z.T]
+        radix = [int(r.max(initial=0)) + 2 for r in ranks]  # ranks 1..m: steps of +-1 never carry
+    code = np.ravel_multi_index(ranks, radix)
+    order = np.argsort(code)
+    code, cols = code[order], z[order].T.copy()
+    # Steps ending in 0, in product()'s lexicographic order; runs t-1..t+1 cover the last axis.
+    steps = np.array(list(itertools.product(*[(-1, 0, 1)] * (d - 1), (0,))))
+    target = code + (steps @ [math.prod(radix[j + 1 :]) for j in range(d)])[len(steps) // 2 :, None]
+    lo, hi = np.searchsorted(code, target - 1, "left"), np.searchsorted(code, target + 1, "right")
+    lo[0] = np.arange(1, n + 1)
+    count = (hi - lo).T.ravel()  # candidates: rows p against runs q, in code order
+    p = np.repeat(np.arange(n), (hi - lo).sum(0))
+    q = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count - lo.T.ravel(), count)
+    with np.errstate(over="ignore"):  # an overflowing square exceeds any finite window
+        near = sum((c[p] - c[q]) ** 2 for c in cols) <= (r_high * (1 + 1e-12)) ** 2
+    a, b = order[p[near]], order[q[near]]
+    ei, ej = np.divmod(np.sort(np.minimum(a, b) * n + np.maximum(a, b)), n)
+    dist = _row_norms(z[ei] - z[ej])
     keep = (dist >= r_low) & (dist <= r_high)
-    return cand[keep, 0], cand[keep, 1], dist[keep]
+    return ei[keep], ej[keep], dist[keep]
 
 
 def _row_norms(diff):

@@ -24,6 +24,7 @@ import numpy as np
 
 from . import entropy as ent
 from .algebraic import _DEFAULT_BUDGET, AlgebraicNumber, IntPolynomial, _as_int, _is_irreducible, _word_states
+from .decompose import _admissible_pairs
 from .errors import BudgetExceededError, _warn_at_caller
 from .measures import DiscreteMeasure, ScaleBy, convolve, pushforward
 from .scales import ScaleVector, _as_scale, validate_contraction_vector
@@ -402,8 +403,9 @@ def separation_profile(
     cannot underflow to 0.0 and drop its atom, as p_min^n can.  A level
     with fewer atoms than its k^n words therefore had a bit-equal float
     collision and reports 0.0 everywhere; otherwise its atoms are the word
-    values, sorted per axis, and in d >= 2 a KD-tree gives the joint
-    Euclidean gap.
+    values, sorted per axis.  In d >= 2 the pairs (_admissible_pairs) within the
+    nearest lexicographic neighbours' distance hold the joint gap, read as the
+    root of summed squares: the reports' formula, not _row_norms' bits.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -421,10 +423,9 @@ def separation_profile(
         per_axis.append(gaps)
         rates.append(tuple(g ** (1.0 / n) if g > 0 else 0.0 for g in gaps))
         if d >= 2 and not collided:
-            from scipy.spatial import cKDTree
-
-            dist, _ = cKDTree(mu.points).query(mu.points, k=2)
-            joint.append(float(dist[:, 1].min()))
+            r = float(np.sqrt((np.diff(mu.points, axis=0) ** 2).sum(1)).min())
+            ei, ej, _ = _admissible_pairs(mu.points, 0.0, r * (1 + 1e-12))
+            joint.append(float(np.sqrt(((mu.points[ei] - mu.points[ej]) ** 2).sum(1)).min(initial=r)))
         else:
             joint.append(0.0 if d >= 2 else None)
     return SeparationProfile(n_max, tuple(per_axis), tuple(rates), tuple(joint))

@@ -547,6 +547,21 @@ class TestExitCodes:
         assert "eps must be positive" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "n, big_n", [("1", "171"), ("1", "400"), ("1045", "1")], ids=["N171", "N400", "n1045"]
+    )
+    def test_decompose_window_leaving_float64_is_exit_1(self, n, big_n, tmp_path, capsys):
+        # N = 171 exited 0 with "window_high": Infinity, which is not JSON;
+        # N = 400 and n = 1045 exited 1 with cKDTree's own messages
+        out = tmp_path / "out.json"
+        argv = ["decompose", "--measure", str(PAIR_CSV), "--lam", "0.5", "--n", n, "--N", big_n,
+                "--eps", "0.05", "--out", str(out)]
+        assert dispatch(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: window 2|lambda^(-3N)|, its square or rescaled atoms leave float64")
+        assert err.endswith(f" at n = {n}, N = {big_n}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("strategy", ["exhaustive", "meet-in-middle", "branch-and-bound"])
     def test_search_overflow_is_exit_1(self, strategy, capsys):
         argv = ["poly-search", "--xi", "1e200", "--n", "4", "--coeffs", "-1,0,1"]

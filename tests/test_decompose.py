@@ -107,6 +107,38 @@ def _loop_edges(z, window_low, window_high):
     return edges
 
 
+def _edge_fixture(name):
+    """Rows, r_low and r_high for the neighbour-search edge cases."""
+    rng = np.random.default_rng(18)
+    if name.startswith("shared-coordinate"):
+        # 400 rows on the line x = 3; with duplicates, y on a grid of 0.25
+        y = rng.uniform(0.0, 100.0, 400)
+        if name.endswith("duplicates"):
+            return np.column_stack((np.full(400, 3.0), np.round(y * 4) / 4)), 0.0, 2.0
+        return np.column_stack((np.full(400, 3.0), y)), 1 / 6, 2.0
+    if name.startswith("far-rows"):
+        # rows at 0 and 1e17 beside a tight cluster; dense ranks make their
+        # cells neighbours of the cluster's
+        d = int(name[-2])
+        far = np.array([[0.0] * d, [1e17] * d])
+        return np.vstack((far, rng.uniform(5.0, 9.0, (300, d)))), 1 / 6, 2.0
+    if name == "side-doubles-5d":
+        # every axis a permutation of 7,000 cells 3 apart, and 300 rows
+        # within 1 of a base row
+        base = np.column_stack([rng.permutation(7000) * 6.0 for _ in range(5)])
+        near = base[rng.choice(7000, 300, replace=False)] + rng.uniform(-0.4, 0.4, (300, 5))
+        return np.vstack((base, near)), 1 / 6, 2.0
+    if name == "one-row":
+        return np.array([[1.0, 2.0]]), 0.0, 2.0
+    if name.startswith("two-rows"):
+        gap = 3.0 if name.endswith("too-far") else 1.5
+        return np.array([[1.0, 2.0], [1.0 + gap, 2.0]]), 1 / 6, 2.0
+    if name == "one-cell":
+        # every row has floor(z / r_high) = 0 on every axis
+        return rng.uniform(0.0, 1.9, (300, 3)), 0.5, 2.0
+    raise KeyError(name)
+
+
 class TestMaxFlowAgainstLP:
     def test_random_fixtures_match_lp(self):
         rng = np.random.default_rng(2024)
@@ -159,6 +191,43 @@ class TestEdgeConstruction:
                     x, y = np.array(p.x), np.array(p.y)
                     assert p.rescaled_distance == float(np.linalg.norm(x / s_pair - y / s_pair))
                     assert p.statement_distance == float(np.linalg.norm((x - y) / s_stmt))
+
+    @pytest.mark.parametrize(
+        "fixture",
+        [
+            "shared-coordinate",
+            "shared-coordinate-duplicates",
+            "far-rows-1d",
+            "far-rows-2d",
+            "side-doubles-5d",
+            "one-row",
+            "two-rows",
+            "two-rows-too-far",
+            "one-cell",
+        ],
+    )
+    def test_edge_inputs_match_kdtree(self, fixture):
+        z, r_low, r_high = _edge_fixture(fixture)
+        ei, ej, dist = _admissible_pairs(z, r_low, r_high)
+        assert list(zip(ei.tolist(), ej.tolist(), dist.tolist())) == _loop_edges(z, r_low, r_high)
+
+    def test_overflowing_differences_drop_silently(self):
+        # Rank-adjacent rows whose differences, or their squares, leave
+        # float64.  cKDTree refuses such rows, so the oracle is the cluster.
+        cluster = np.random.default_rng(18).uniform(0.0, 10.0, (200, 2))
+        far = np.array([[-1.5e308, 0.0], [-1e200, 0.0], [1e200, 0.0], [1.5e308, 1.0]])
+        ei, ej, dist = _admissible_pairs(np.vstack((far, cluster)), 1 / 6, 2.0)
+        want = [(i + 4, j + 4, x) for i, j, x in _loop_edges(cluster, 1 / 6, 2.0)]
+        assert list(zip(ei.tolist(), ej.tolist(), dist.tolist())) == want
+        assert len(_admissible_pairs(np.array([[-1.5e308], [1.5e308]]), 0.0, 2.0)[0]) == 0
+
+    def test_side_doubles_on_the_5d_fixture(self):
+        # 7,000 distinct cells on each of 5 axes at side r_high: 7,002^5
+        # codes would not even fit in int64
+        z, _, r_high = _edge_fixture("side-doubles-5d")
+        radix = [len(np.unique(np.floor(col / r_high))) + 2 for col in z.T]
+        assert min(radix) >= 7002 and math.prod(radix) >= 2**63
+        assert len(_admissible_pairs(z, 0.0, r_high)[0]) >= 300
 
     def test_row_norms_bit_identical_to_per_row_norm(self):
         # norm(rows, axis=1) differs from the per-row norm in the last bit on
@@ -359,6 +428,24 @@ class TestDecomposeValidation:
             bernoulli_decompose(nu, (0.5,), n=0, big_n=1, eps=1.5)
         with pytest.raises(ValueError, match="dimension mismatch"):
             bernoulli_decompose(nu, (0.5, 0.25), n=0, big_n=1, eps=0.1)
+
+    @pytest.mark.parametrize(
+        "n, big_n", [(1, 171), (1, 400), (1045, 1)], ids=["N171", "N400", "n1045"]
+    )
+    def test_window_leaving_float64_refused(self, n, big_n):
+        # N = 171: the window 2^514 squares past float64 and was reported as
+        # Infinity; N = 400: the window is infinite; n = 1045: the rescaled
+        # atoms are.  No RuntimeWarning may escape on the way.
+        nu = from_atoms([((0.0,), 0.5), ((1.0,), 0.5)])
+        with pytest.raises(ValueError, match=f"leave float64 at n = {n}, N = {big_n}$"):
+            bernoulli_decompose(nu, (0.5,), n=n, big_n=big_n, eps=0.05)
+
+    def test_largest_finite_window_still_pairs(self):
+        # N = 170: the window 2^511 squares to 2^1022, still finite
+        nu = from_atoms([((0.0,), 0.5), ((1.0,), 0.5)])
+        dec = bernoulli_decompose(nu, (0.5,), n=1, big_n=170, eps=0.05)
+        assert dec.window_high == 2.0**511
+        assert dec.paired_mass == 1.0
 
     def test_zero_mass_rejected(self):
         empty = from_atoms([])

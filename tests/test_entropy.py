@@ -1,6 +1,7 @@
 """Partition entropy, conditional entropy, and average entropy quadrature."""
 
 import itertools
+import json
 import math
 import os
 import subprocess
@@ -572,6 +573,30 @@ class TestSobolOffsets:
             "        '--quad', 'qmc', '--offsets', '64', '--seed', '3']\n"
             "assert dispatch(argv) == 0\n"
             "print('scipy.stats' in sys.modules)\n"
+        )
+        path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+        res = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        assert res.stdout.strip().splitlines()[-1] == "False"
+
+    def test_separation_and_decompose_never_import_scipy_spatial(self, tmp_path):
+        # one grid neighbour search serves the joint gap and the pair window
+        spec = tmp_path / "three-maps-2d.json"
+        maps = [{"a": [0, 0], "p": 0.2}, {"a": [1, 0], "p": 0.3}, {"a": [0, 1], "p": 0.5}]
+        spec.write_text(json.dumps({"lambda": [0.61, 0.37], "maps": maps}))
+        code = (
+            "import sys\n"
+            "from bconv.cli import dispatch\n"
+            f"assert dispatch(['separation', '--spec', {str(spec)!r}, '--n', '2']) == 0\n"
+            f"assert dispatch(['decompose', '--measure', {str(PAIR_CSV)!r}, '--lam', '0.5',\n"
+            "                 '--n', '1', '--N', '1', '--eps', '0.1']) == 0\n"
+            "print('scipy.spatial' in sys.modules)\n"
         )
         path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
         res = subprocess.run(

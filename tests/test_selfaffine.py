@@ -470,12 +470,26 @@ class TestSeparation:
                 7,
             ),
             (SystemSpec((0.3,), ((1,), (-1,)), (1e-200, 1 - 1e-200)), 3),
+            (SystemSpec((0.7, 0.45), ((0, 0), (1, 3), (2, -1)), (1 / 3,) * 3), 7),
+            (SystemSpec((0.8, 0.3), ((1, 0), (0, 1)), HALF), 7),
         ],
-        ids=["golden", "third", "tri2d", "three-maps-2d", "four-maps-3d", "underflowing-p"],
+        ids=[
+            "golden",
+            "third",
+            "tri2d",
+            "three-maps-2d",
+            "four-maps-3d",
+            "underflowing-p",
+            "far-neighbour-2d",
+            "near-tie-2d",
+        ],
     )
     def test_matches_unmerged_scan_bitwise(self, spec, n_max):
         # golden and tri2d have bit-equal float collisions, the others none;
-        # p_min^2 = 1e-400 underflows, but gaps never read the weights
+        # p_min^2 = 1e-400 underflows, but gaps never read the weights.
+        # far-neighbour-2d's nearest pair is never lexicographically adjacent
+        # (at n = 1, (0, 0) is nearest to (2, -1), not to (1, 3)); at n = 7
+        # near-tie-2d's is 1e-16 nearer than the nearest adjacent pair.
         assert separation_profile(spec, n_max) == _unmerged_separation(spec, n_max)
 
     def test_third_gaps_exact(self):
