@@ -18,6 +18,8 @@ import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import Sequence
 
 from . import decompose as dec
@@ -139,9 +141,9 @@ def _lam_from_args(args) -> ScaleVector:
     raise ValueError("a contraction vector is required (--lam or --spec)")
 
 
-def _report_bytes(payload: dict, fmt: str) -> bytes:
+def _report_text(payload: dict, fmt: str) -> str:
     if fmt == "json":
-        return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
+        return _json_value(payload, "\n") + "\n"
     # CSV: row-shaped payloads write their rows; scalar payloads write one row.
     lines = []
     if "columns" in payload and "rows" in payload:
@@ -153,7 +155,94 @@ def _report_bytes(payload: dict, fmt: str) -> bytes:
         keys = sorted(payload)
         lines.append(",".join(keys))
         lines.append(",".join(_cell(payload[k]) for k in keys))
-    return ("\n".join(lines) + "\n").encode()
+    return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# JSON report writer
+#
+# json.dumps serves indent only from its pure-Python encoder, which dominates
+# large reports.  This writer applies the same rules column by column: a list
+# of floats is one map(float.__repr__), and a list of dicts sharing one key
+# set (a report's rows) is one %-template filled per row.
+# ---------------------------------------------------------------------------
+
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_value(o, nl: str) -> str:
+    """JSON text of o with its closing bracket after nl (newline plus indent).
+
+    _json_value(payload, "\n") is exactly json.dumps(payload, sort_keys=True,
+    indent=2), NaN/Infinity/-Infinity tokens included; the tests hold
+    json.dumps as the oracle.  Keys must be str; a value json.dumps would
+    refuse (np.int64, np.bool_, a set) raises TypeError.
+    """
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        text = float.__repr__(o)
+        return _NON_FINITE.get(text, text)
+    inner = nl + "  "
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        template, cols = _json_column(o, inner)
+        texts = cols[0] if template == "%s" else [template % row for row in zip(*cols)]
+        return "[" + inner + ("," + inner).join(texts) + nl + "]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        for k in o:
+            if not isinstance(k, str):
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
+        items = (encode_basestring_ascii(k) + ": " + _json_value(o[k], inner) for k in sorted(o))
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _json_column(values, nl: str) -> tuple[str, list[list[str]]]:
+    """A %-template and columns of JSON texts: row i of the columns fills the
+    template to _json_value(values[i], nl)."""
+    types = set(map(type, values))
+    if all(issubclass(t, float) for t in types):
+        texts = list(map(float.__repr__, values))
+        if not _NON_FINITE.keys().isdisjoint(texts):
+            texts = [_NON_FINITE.get(text, text) for text in texts]
+        return "%s", [texts]
+    if types == {bool}:
+        return "%s", [["true" if v else "false" for v in values]]
+    if all(issubclass(t, int) and t is not bool for t in types):
+        return "%s", [list(map(int.__repr__, values))]
+    if all(issubclass(t, str) for t in types):
+        return "%s", [list(map(encode_basestring_ascii, values))]
+    inner = nl + "  "
+    if types <= {list, tuple} and len(set(map(len, values))) == 1 and values[0]:
+        # Lists of one length: one sub-template per position.  Not zip(*values):
+        # it holds one GC-tracked iterator per row, which triggers collections.
+        positions = range(len(values[0]))
+        parts = [_json_column(list(map(itemgetter(i), values)), inner) for i in positions]
+        template = "[" + inner + ("," + inner).join(t for t, _ in parts) + nl + "]"
+        return template, [col for _, cols in parts for col in cols]
+    if types == {dict} and values[0] and all(type(k) is str for k in values[0]):
+        first = values[0].keys()
+        if all(map(first.__eq__, map(dict.keys, values))):
+            # Rows sharing one key set: one sub-template per key.
+            keys = sorted(first)
+            parts = [_json_column(list(map(itemgetter(k), values)), inner) for k in keys]
+            names = (encode_basestring_ascii(k).replace("%", "%%") for k in keys)
+            fields = (name + ": " + t for name, (t, _) in zip(names, parts))
+            template = "{" + inner + ("," + inner).join(fields) + nl + "}"
+            return template, [col for _, cols in parts for col in cols]
+    return "%s", [[_json_value(v, nl) for v in values]]
 
 
 def _cell(v) -> str:
@@ -556,12 +645,12 @@ def dispatch(argv: Sequence[str]) -> int:
         return 0 if e.code in (0, None) else 1
     try:
         payload = args.handler(args)
-        data = _report_bytes(payload, args.format)
+        text = _report_text(payload, args.format)
         if args.out:
             with open(args.out, "wb") as fh:
-                fh.write(data)
+                fh.write(text.encode())
         else:
-            sys.stdout.write(data.decode())
+            sys.stdout.write(text)
         return 0
     except BudgetExceededError as e:
         print(f"budget refused: {e}", file=sys.stderr)

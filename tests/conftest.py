@@ -1,5 +1,8 @@
-"""Suite-wide setup: the console script runs from a plain source checkout."""
+"""Suite-wide setup: the console script runs from a plain source checkout,
+and every JSON report a test writes through the CLI is checked against
+json.dumps."""
 
+import json
 import os
 import shutil
 import sys
@@ -39,3 +42,24 @@ def console_scripts_on_path(tmp_path_factory):
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("PATH", str(bindir), prepend=os.pathsep)
         yield
+
+
+@pytest.fixture(autouse=True)
+def json_reports_match_json_dumps(monkeypatch):
+    """Every JSON report a test writes through bconv.cli must be exactly
+    json.dumps(payload, sort_keys=True, indent=2) plus a newline: json.dumps
+    is the oracle of the CLI's own report writer."""
+    from bconv import cli
+
+    write = cli._report_text
+
+    def checked(payload, fmt):
+        text = write(payload, fmt)
+        if fmt == "json":
+            want = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+            # a bool, not `text == want`: pytest's diff of megabyte reports takes minutes
+            same = text == want
+            assert same, f"differs from json.dumps at {len(os.path.commonprefix([text, want]))}"
+        return text
+
+    monkeypatch.setattr(cli, "_report_text", checked)

@@ -1,6 +1,7 @@
 """CLI plumbing tests: spec loading, one in-process run per subcommand,
 exit codes, output formats, and byte-identical reruns."""
 
+import enum
 import importlib.util
 import json
 import os
@@ -8,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bconv import algebraic, cli
@@ -642,6 +644,106 @@ class TestCsvFormat:
         assert lines[1].startswith("1,1,2.0,")
 
 
+def assert_writes_json_dumps(payload):
+    """The CLI's JSON report of payload is json.dumps(sort_keys, indent=2) plus a newline."""
+    got = cli._report_text(payload, "json")
+    want = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    # a bool, not `got == want`: pytest's diff of megabyte reports takes minutes
+    same = got == want
+    assert same, f"differs from json.dumps at offset {len(os.path.commonprefix([got, want]))}"
+
+
+def cli_payload(argv):
+    """The payload a command line reports, before it is written."""
+    args = cli._build_parser().parse_args(cli._normalize_argv(argv))
+    return args.handler(args)
+
+
+class Colour(enum.IntEnum):
+    RED = 7
+
+
+NAN, INF = float("nan"), float("inf")
+EDGE_PAYLOADS = {
+    "float-column": {"v": [NAN, INF, -INF, -0.0, 5e-324, 1e16, 1e-5, 1e22, 0.1]},
+    "float-scalars": {
+        "nan": NAN, "inf": INF, "ninf": -INF, "zero": -0.0, "tiny": 5e-324, "big": 1e22,
+    },
+    "ints": {"big": 2**70, "neg": -(2**70), "enum": Colour.RED, "col": [2**70, -1, 0, Colour.RED]},
+    "bool-in-int-column": {"rows": [{"n": 1}, {"n": True}, {"n": False}], "v": [1, True, 0]},
+    "bool-column": {"rows": [{"ok": True}, {"ok": False}], "v": [False, True]},
+    "int-and-float": {"v": [1, 1.0, 2, -0.0], "rows": [{"a": 1}, {"a": 1.0}]},
+    "np-float64": {
+        "v": [0.5, np.float64(0.1), np.float64("nan"), np.float64(-np.inf)], "s": np.float64(2.5),
+    },
+    "none-and-empty": {
+        "a": None, "b": [], "c": {}, "d": [[]], "e": [{}], "f": [[], []], "g": [{}, {}],
+        "h": {"x": {}, "y": []}, "i": [None, None], "j": [[[]], [[]]], "k": [None, 1, "s"],
+    },
+    "tuples": {
+        "t": (1, 2.5, ("a", ())), "pairs": [(0.5,), (1.5,)], "mixed": [(1, "a"), [2, "b"]], "e": (),
+    },
+    "rows-key-sets-differ": {"rows": [{"a": 1, "b": 2.0}, {"a": 2}, {"b": 3.0, "c": "x"}]},
+    "rows-same-size-key-sets-differ": {"rows": [{"a": 1}, {"b": 2}]},
+    "rows-nested": {
+        "rows": [
+            {"x": [0.5, 1.5], "y": {"a": [1], "b": None}, "z": [[1, 2], [3]]},
+            {"x": [2.5, NAN], "y": {"a": [2], "b": True}, "z": [[4, 5], [6]]},
+        ]
+    },
+    "ragged-lists": {"v": [[1, 2], [3], [], [4.0, [5, 6]], (7,)]},
+    "strings": {
+        'q"uo\\te': 'a"b\\c',
+        "ctl\n\t\x00\x1f": "\x7f\u00e9\u2603\U0001F600",
+        "pct%s%%": "100%",
+        "v": ["%s", "%%", "%(a)s", "\u00e9", ""],
+        "rows": [{"%d": "%s", 'k"': "\\", "\u00e9": 1}, {"%d": "%", 'k"': "\u00e9", "\u00e9": 2}],
+    },
+}
+
+
+class TestJsonWriter:
+    """The JSON report writer against json.dumps(sort_keys=True, indent=2).
+
+    Every report a test writes through the CLI is checked the same way by
+    the suite-wide fixture in conftest.py."""
+
+    @pytest.mark.parametrize("name", sorted(EDGE_PAYLOADS))
+    def test_edge_payload_matches_json_dumps(self, name):
+        assert_writes_json_dumps(EDGE_PAYLOADS[name])
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"v": np.int64(1)},
+            {"v": [np.int64(1), np.int64(2)]},
+            {"v": np.bool_(True)},
+            {"rows": [{"a": np.bool_(True)}, {"a": np.bool_(False)}]},
+            {"v": {1, 2}},
+            {1: "a"},
+            {"rows": [{1: "a"}, {1: "b"}]},
+        ],
+        ids=["int64", "int64-column", "bool_", "bool_-column", "set", "int-key", "int-key-rows"],
+    )
+    def test_unserializable_payload_is_type_error(self, payload):
+        with pytest.raises(TypeError):
+            cli._report_text(payload, "json")
+
+    @pytest.mark.parametrize("op_id", ["pair-golden", "pair-line600", "pair-line12k"])
+    def test_pairing_op_matches_json_dumps(self, op_id, pairing_ops):
+        assert_writes_json_dumps(cli_payload(pairing_ops[op_id]))
+
+    def test_stdout_and_out_write_the_same_bytes(self, pairing_ops, tmp_path, capsysbinary):
+        argv = pairing_ops["pair-line12k"]
+        out = tmp_path / "report.json"
+        assert dispatch([*argv, "--out", str(out)]) == 0
+        assert dispatch(argv) == 0
+        data = out.read_bytes()
+        assert len(data) > 1_000_000
+        same = capsysbinary.readouterr().out == data  # a bool, as in assert_writes_json_dumps
+        assert same
+
+
 class TestConsoleScript:
     def test_installed_entry_point(self):
         res = subprocess.run(
@@ -659,7 +761,22 @@ def words_ops(tmp_path_factory):
     return {op["id"]: op["argv"] for op in ops}
 
 
+@pytest.fixture(scope="module")
+def pairing_ops(tmp_path_factory):
+    """The benchmark's pairing command lines at seed 300 by id, without --out."""
+    ops, _, _ = _perfbench_inputs().build("pairing", 300, tmp_path_factory.mktemp("pairing"))
+    return {op["id"]: op["argv"][: op["argv"].index("--out")] for op in ops}
+
+
 class TestPinnedReports:
+    def test_json_format_is_pinned(self, capsys):
+        # the report format itself, independent of any writer: 2-space
+        # indent, sorted keys, ": " separators and a trailing newline
+        assert dispatch(["overlap", "--spec", str(GOLDEN_SPEC), "--n", "5"]) == 0
+        assert capsys.readouterr().out == (
+            '{\n  "joint": 3,\n  "n_max": 5,\n  "per_axis": [\n    3\n  ]\n}\n'
+        )
+
     def test_separation_tri2d_matches_pinned_report(self, tmp_path):
         # the benchmark's pinned report, checked here without a benchmark run
         inputs = _perfbench_inputs()
