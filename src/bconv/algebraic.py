@@ -17,6 +17,7 @@ the last bit and their tie-breaking deterministic.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -109,11 +110,7 @@ class IntPolynomial:
 
     def primitive(self) -> "IntPolynomial":
         """Content removed, leading coefficient made positive."""
-        if self.is_zero():
-            return self
-        g = self.content()
-        sign = 1 if self.coeffs[-1] > 0 else -1
-        return IntPolynomial(tuple(c * sign // g for c in self.coeffs))
+        return IntPolynomial(tuple(_primitive(list(self.coeffs))))
 
     def derivative(self) -> "IntPolynomial":
         return IntPolynomial(tuple(k * c for k, c in enumerate(self.coeffs) if k > 0))
@@ -122,21 +119,7 @@ class IntPolynomial:
         return IntPolynomial(tuple(-c for c in self.coeffs))
 
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        if self.is_zero() or other.is_zero():
-            return IntPolynomial(())
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return IntPolynomial(tuple(out))
-
-    def bounded_by(self, n: int, height: int) -> bool:
-        """Membership in the family deg < n, max |coefficient| <= height."""
-        return (
-            not self.is_zero()
-            and self.degree < n
-            and max(abs(c) for c in self.coeffs) <= height
-        )
+        return IntPolynomial(tuple(_mul(self.coeffs, other.coeffs)))
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -154,15 +137,328 @@ class IntPolynomial:
         return " + ".join(parts)
 
 
-def _sympy_poly(poly: IntPolynomial):
-    import sympy
+# ---------------------------------------------------------------------------
+# Factorization over Z and real roots
+# ---------------------------------------------------------------------------
+#
+# The helpers below take coefficient lists, constant term first, with no
+# trailing zeros ([] is zero).  Factoring follows Zassenhaus (von zur
+# Gathen and Gerhard, Modern Computer Algebra, ch. 14-15): a square-free
+# split over Z (Yun), Berlekamp factoring modulo a small prime, Hensel
+# lifting, and recombination of the lifted factors by trial division.  Real
+# roots are isolated by Descartes' rule of signs with bisection
+# (Collins and Akritas, SYMSAC 1976).
 
-    x = sympy.Symbol("x")
-    return sympy.Poly(list(reversed(poly.coeffs)), x)
+_PRIMES_TRIED = 5  # Berlekamp runs modulo this many good primes before lifting
+
+
+def _trim(cs: list[int]) -> list[int]:
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def _primitive(cs: list[int]) -> list[int]:
+    """Content removed, leading coefficient made positive."""
+    if not cs:
+        return cs
+    g = math.gcd(*cs) if cs[-1] > 0 else -math.gcd(*cs)
+    return [c // g for c in cs]
+
+
+def _mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _prem(a: list[int], b: list[int]) -> list[int]:
+    """lead(b)^k * a modulo b over Z, for some k >= 0."""
+    r, n, lead = list(a), len(b) - 1, b[-1]
+    while len(r) > n:
+        top, k = r[-1], len(r) - 1 - n
+        r = [lead * c for c in r]
+        for i, c in enumerate(b):
+            r[k + i] -= top * c
+        _trim(r)
+    return r
+
+
+def _gcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd with positive leading coefficient, by primitive remainder sequences."""
+    a, b = _primitive(a), _primitive(b)
+    while b:
+        a, b = b, _primitive(_prem(a, b))
+    return a
+
+
+def _divide(a: list[int], b: list[int]) -> list[int] | None:
+    """a / b when b divides a in Z[x], else None."""
+    r, n = list(a), len(b) - 1
+    q = [0] * max(0, len(r) - n)
+    for k in reversed(range(len(q))):
+        q[k], rest = divmod(r[k + n], b[-1])
+        if rest:
+            return None
+        for i, c in enumerate(b):
+            r[k + i] -= q[k] * c
+    return None if any(r) else q
+
+
+def _derivative(cs: list[int]) -> list[int]:
+    return list(IntPolynomial(cs).derivative().coeffs)
+
+
+def _square_free(f: list[int]) -> list[tuple[list[int], int]]:
+    """Yun's split of a primitive f of degree >= 1 with positive leading
+    coefficient: f = prod part^multiplicity, the parts primitive, square-free
+    and pairwise coprime.  gcds of primitive polynomials divide exactly over Z
+    (Gauss), so every quotient stays integral.  A repeated factor of f
+    would stay repeated modulo any prime p not dividing the leading
+    coefficient, so f square-free mod such a p is square-free: that cheap
+    proof is tried first, for a few small p."""
+    df = _derivative(f)
+    for p in (3, 5, 7, 11):
+        if f[-1] % p and len(_gcd_p([c % p for c in f], _trim([c % p for c in df]), p)) == 1:
+            return [(f, 1)]
+    a = _gcd(f, df)
+    b, c = _divide(f, a), _divide(df, a)
+    out, mult = [], 1
+    while len(b) > 1:
+        d = _trim([x - y for x, y in itertools.zip_longest(c, _derivative(b), fillvalue=0)])
+        a = _gcd(b, d)
+        if len(a) > 1:
+            out.append((a, mult))
+        b, c, mult = _divide(b, a), _divide(d, a), mult + 1
+    return out
+
+
+def _divmod_p(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by b over F_p."""
+    r, n = [c % p for c in a], len(b) - 1
+    inv = pow(b[-1], -1, p)
+    q = [0] * max(0, len(r) - n)
+    for k in reversed(range(len(q))):
+        q[k] = t = r[k + n] * inv % p
+        if t:
+            for i, c in enumerate(b):
+                r[k + i] = (r[k + i] - t * c) % p
+    return _trim(q), _trim(r[:n])
+
+
+def _mulmod(a: list[int], b: list[int], m: int) -> list[int]:
+    return _trim([c % m for c in _mul(a, b)])
+
+
+def _sub_p(a: list[int], b: list[int], p: int) -> list[int]:
+    return _trim([(x - y) % p for x, y in itertools.zip_longest(a, b, fillvalue=0)])
+
+
+def _gcd_p(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic gcd over F_p."""
+    while b:
+        a, b = b, _divmod_p(a, b, p)[1]
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _inverse_p(a: list[int], g: list[int], p: int) -> list[int]:
+    """a^-1 modulo g over F_p, for a coprime to g (extended Euclid)."""
+    r0, r1, s0, s1 = g, _divmod_p(a, g, p)[1], [], [1]
+    while len(r1) > 1:
+        q, r = _divmod_p(r0, r1, p)
+        r0, r1, s0, s1 = r1, r, s1, _sub_p(s0, _mulmod(q, s1, p), p)
+    inv = pow(r1[0], -1, p)
+    return [c * inv % p for c in s1]
+
+
+def _primes() -> Iterator[int]:
+    p = 2
+    while True:
+        if all(p % q for q in range(2, math.isqrt(p) + 1)):
+            yield p
+        p += 1
+
+
+def _berlekamp_basis(f: list[int], p: int) -> list[list[int]]:
+    """A basis of {v : v^p = v mod f} over F_p for a monic square-free f;
+    its size is the number of irreducible factors of f mod p.
+
+    Row i of Q is x^(ip) mod f, a power of the companion matrix; v^p = v Q,
+    so the basis spans the null space of (Q - I)^T, read from its reduced
+    row echelon form.  Entries stay below p, so int64 arithmetic is exact
+    while n p^2 < 2^63, far past any prime the search for good primes reaches.
+    """
+    n = len(f) - 1
+    step = np.eye(n, k=1, dtype=np.int64)  # row k: x * x^k mod f
+    step[-1] = [-c % p for c in f[:-1]]
+    frob, e = np.eye(n, dtype=np.int64), p
+    while e:
+        if e & 1:
+            frob = frob @ step % p
+        step, e = step @ step % p, e >> 1
+    q = np.empty((n, n), dtype=np.int64)
+    q[0] = np.eye(1, n, dtype=np.int64)
+    for i in range(1, n):
+        q[i] = q[i - 1] @ frob % p
+    m = (q - np.eye(n, dtype=np.int64)).T % p
+    pivots: list[int] = []
+    for col in range(n):
+        k = len(pivots)
+        nonzero = np.flatnonzero(m[k:, col])
+        if not len(nonzero):
+            continue
+        m[[k, k + nonzero[0]]] = m[[k + nonzero[0], k]]
+        m[k] = m[k] * pow(int(m[k, col]), -1, p) % p
+        others = m[:, col].copy()
+        others[k] = 0
+        m = (m - np.outer(others, m[k])) % p
+        pivots.append(col)
+    basis = []
+    for free in sorted(set(range(n)) - set(pivots)):
+        v = [0] * n
+        v[free] = 1
+        for i, col in enumerate(pivots):
+            v[col] = -int(m[i, free]) % p
+        basis.append(_trim(v))
+    return basis
+
+
+def _berlekamp(f: list[int], p: int, basis: list[list[int]]) -> list[list[int]]:
+    """The monic irreducible factors of the monic square-free f over F_p:
+    each basis vector v splits a factor h into the gcd(h, v - s), s in F_p."""
+    factors = [f]
+    for v in basis:
+        if len(factors) == len(basis):
+            break
+        if len(v) < 2:
+            continue
+        split = []
+        for h in factors:
+            pieces = [_gcd_p(h, _sub_p(v, [s], p), p) for s in range(p)] if len(h) > 2 else [h]
+            split += [d for d in pieces if len(d) > 1]
+        factors = split
+    return factors
+
+
+def _hensel(f: list[int], gs: list[list[int]], p: int, k: int) -> list[list[int]]:
+    """Lift f = lead * prod gs (mod p), the gs monic and pairwise coprime
+    mod p, to the same identity mod p^k, one p-adic digit per step.
+
+    With t_i the inverse of prod_{l != i} g_l modulo g_i, the error
+    e = (f - lead * prod gs) / q (mod p) is lead * sum a_i prod_{l != i} g_l
+    for a_i = e t_i / lead mod g_i, and g_i + q a_i holds modulo pq.
+    """
+    lead_inv = pow(f[-1], -1, p)
+    ts = []
+    for i, g in enumerate(gs):
+        rest = [1]
+        for h in gs[:i] + gs[i + 1 :]:
+            rest = _divmod_p(_mul(rest, h), g, p)[1]
+        ts.append([c * lead_inv for c in _inverse_p(rest, g, p)])
+    q = p
+    for _ in range(k - 1):
+        prod = [f[-1]]
+        for g in gs:
+            prod = _mul(prod, g)
+        e = _trim([(a - b) // q % p for a, b in itertools.zip_longest(f, prod, fillvalue=0)])
+        gs = [
+            [x + q * y for x, y in itertools.zip_longest(g, _divmod_p(_mul(e, t), g, p)[1], fillvalue=0)]
+            for g, t in zip(gs, ts)
+        ]
+        q *= p
+    return gs
+
+
+def _recombine(f: list[int], gs: list[list[int]], q: int) -> list[list[int]]:
+    """The irreducible factors of f over Z from its lifted factors mod q.
+
+    Subsets of gs are tried by size: lead * prod(subset), in symmetric
+    residues mod q, is a factor's lead-multiple whenever q exceeds twice the
+    Mignotte bound, and trial division decides.  Every subset counts against
+    _DEFAULT_BUDGET; past it the call is refused.
+    """
+    factors, size, tried = [], 1, 0
+    while 2 * size <= len(gs):
+        for subset in itertools.combinations(range(len(gs)), size):
+            tried += 1
+            if tried > _DEFAULT_BUDGET:
+                raise BudgetExceededError(
+                    f"recombining {len(gs)} modular factors tries more than "
+                    f"{_DEFAULT_BUDGET} subsets"
+                )
+            h = [f[-1]]
+            for i in subset:
+                h = _mulmod(h, gs[i], q)
+            h = _primitive([c - q if 2 * c > q else c for c in h])
+            quotient = _divide(f, h) if h[0] and f[0] % h[0] == 0 else None
+            if quotient is not None:
+                factors.append(h)
+                f, gs = quotient, [g for i, g in enumerate(gs) if i not in subset]
+                break
+        else:
+            size += 1
+    return factors + [f]
+
+
+def _zassenhaus(f: list[int]) -> list[list[int]]:
+    """The irreducible factors over Z of a primitive square-free f with
+    positive leading coefficient, f(0) != 0 and degree >= 2.
+
+    Berlekamp runs modulo the first _PRIMES_TRIED primes that leave the
+    leading coefficient and square-freeness intact; one factor proves f
+    irreducible, and otherwise the prime with fewest factors (the largest
+    on ties, which needs fewer lifting steps) is lifted past
+    2 * lead * 2^n * ||f||_2.
+    """
+    n, lead = len(f) - 1, f[-1]
+    best, tried = None, 0
+    for p in _primes():
+        if lead % p == 0:
+            continue
+        inv = pow(lead, -1, p)
+        g = [c * inv % p for c in f]
+        if len(_gcd_p(g, _trim([c % p for c in _derivative(g)]), p)) > 1:
+            continue
+        basis = _berlekamp_basis(g, p)
+        if len(basis) == 1:
+            return [f]
+        if best is None or len(basis) <= len(best[2]):
+            best = p, g, basis
+        tried += 1
+        if tried == _PRIMES_TRIED:
+            break
+    p, g, basis = best
+    bound, k = 2 * lead * 2**n * (math.isqrt(sum(c * c for c in f)) + 1), 1
+    while p**k <= bound:
+        k += 1
+    return _recombine(f, _hensel(f, _berlekamp(g, p, basis), p, k), p**k)
+
+
+def _factor(poly: IntPolynomial) -> tuple[int, list[tuple[IntPolynomial, int]]]:
+    """(content, [(factor, multiplicity), ...]) with poly = content *
+    prod factor^multiplicity, each factor irreducible over Z, primitive and
+    with positive leading coefficient; the content carries the sign.  This
+    is the shape of sympy's factor_list."""
+    if poly.degree < 1:
+        return (poly.coeffs[0] if poly.coeffs else 0), []
+    content = poly.content() if poly.leading > 0 else -poly.content()
+    f = [c // content for c in poly.coeffs]
+    zeros = next(i for i, c in enumerate(f) if c)
+    out = [(IntPolynomial((0, 1)), zeros)] if zeros else []
+    if len(f) - zeros > 1:
+        for part, mult in _square_free(f[zeros:]):
+            out += [(IntPolynomial(g), mult) for g in ([part] if len(part) == 2 else _zassenhaus(part))]
+    return content, out
 
 
 def _is_irreducible(poly: IntPolynomial) -> bool:
-    """Irreducibility over Q; degrees 1 and 2 are decided without sympy."""
+    """Irreducibility over Q; degrees 1 and 2 are decided without factoring."""
     if poly.degree < 1:
         return False
     if poly.degree == 1:
@@ -171,8 +467,87 @@ def _is_irreducible(poly: IntPolynomial) -> bool:
         c, b, a = poly.coeffs
         disc = b * b - 4 * a * c
         return disc < 0 or math.isqrt(disc) ** 2 != disc
-    factors = _sympy_poly(poly.primitive()).factor_list()[1]
+    factors = _factor(poly)[1]
     return len(factors) == 1 and factors[0][1] == 1
+
+
+def _shifted(cs: Sequence[int], a: int, b: int, d: int) -> list[int]:
+    """d^n f((a + b x) / d) for f = cs of degree n, by Horner's rule."""
+    out, dk = [cs[-1]], 1
+    for c in reversed(cs[:-1]):
+        dk *= d
+        out = [a * u + b * v for u, v in zip(out + [0], [0] + out)]
+        out[0] += c * dk
+    return out
+
+
+def _unit_roots(q: list[int]) -> list[tuple[int, int]]:
+    """(c, k) per interval (c / 2^k, (c + 1) / 2^k) holding exactly one root
+    of q, one interval for each root of q in (0, 1).
+
+    q must be square-free with no root at a dyadic point.  The sign
+    variations of (x + 1)^n q(1 / (x + 1)) bound the roots in (0, 1) and
+    count them when at most one; larger counts bisect.
+    """
+    out, todo = [], [(q, 0, 0)]
+    while todo:
+        q, c, k = todo.pop()
+        signs = [x > 0 for x in _shifted(q[::-1], 1, 1, 1) if x]
+        changes = sum(s != t for s, t in zip(signs, signs[1:]))
+        if changes == 1:
+            out.append((c, k))
+        elif changes > 1:
+            half = _shifted(q, 0, 1, 2)  # 2^n q(x / 2)
+            todo += [(half, 2 * c, k + 1), (_shifted(half, 1, 1, 1), 2 * c + 1, k + 1)]
+    return out
+
+
+def _count_roots(poly: IntPolynomial, low: Fraction, high: Fraction) -> int:
+    """Number of roots of an irreducible poly in the open interval (low, high)."""
+    d = math.lcm(low.denominator, high.denominator)
+    a, b = int(low * d), int(high * d)
+    return len(_unit_roots(_shifted(poly.coeffs, a, b - a, d)))
+
+
+def _isolate(f: list[int]) -> list[tuple[Fraction, Fraction]]:
+    """An isolating interval for each real root of an irreducible f.
+
+    A linear factor's rational root r gets (r - 2^-60, r + 2^-60).  Other
+    roots lie in (-2^K, 2^K) by Cauchy's bound; _unit_roots isolates them
+    on each side of 0, and bisection with exact dyadic signs narrows each
+    interval to width w <= 2^-60 with w <= 2^-54 |lower end|.  The ends stay
+    multiples of w, so every rounding boundary of the float near the root is
+    an end, and the midpoint's float is the root correctly rounded.
+    """
+    if len(f) == 2:
+        r, eps = Fraction(-f[0], f[1]), Fraction(1, 2**60)
+        return [(r - eps, r + eps)]
+    K = (1 - (-max(map(abs, f[:-1])) // f[-1])).bit_length()
+    out = []
+    for sign in (1, -1):
+        g = _shifted(f, 0, sign, 1)  # f(x) or f(-x)
+        for c, k in _unit_roots(_shifted(g, 0, 1 << K, 1)):
+            j = k - K  # the interval is (c / 2^j, (c + 1) / 2^j)
+            lo, hi, j = (c, c + 1, j) if j >= 0 else (c << -j, (c + 1) << -j, 0)
+            positive = _horner_at(g, lo, j) > 0
+            while (hi - lo) << 60 > 1 << j or (hi - lo) << 54 > lo:
+                lo, hi, j = 2 * lo, 2 * hi, j + 1
+                mid = (lo + hi) // 2
+                if (_horner_at(g, mid, j) > 0) == positive:
+                    lo = mid
+                else:
+                    hi = mid
+            lo, hi = Fraction(lo, 1 << j), Fraction(hi, 1 << j)
+            out.append((lo, hi) if sign > 0 else (-hi, -lo))
+    return out
+
+
+def _horner_at(cs: list[int], a: int, j: int) -> int:
+    """2^(jn) f(a / 2^j), whose sign is that of f(a / 2^j)."""
+    v = cs[-1]
+    for k, c in enumerate(reversed(cs[:-1]), 1):
+        v = v * a + (c << (j * k))
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +578,7 @@ class AlgebraicNumber:
             raise ValueError("isolating interval is empty")
         if p(self.low) * p(self.high) >= 0:
             raise ValueError("isolating interval must have a strict sign change")
-        if _sympy_poly(p).count_roots(self.low, self.high) != 1:
+        if _count_roots(p, self.low, self.high) != 1:
             raise ValueError("interval does not isolate a single real root")
 
     @property
@@ -254,21 +629,12 @@ def _real_roots(poly: IntPolynomial) -> list[tuple[float, IntPolynomial, Fractio
     """Each distinct real root of poly once, in increasing order, as
     (float, primitive minpoly, low, high).
 
-    poly is factored once over Z; each irreducible factor's isolating
-    intervals are refined to width at most 2^-60, and the float is the
-    interval midpoint.  sympy isolates a rational root as a point; its
-    factor is linear, so a symmetric widening still isolates it.
+    poly is factored once over Z (_factor) and each irreducible factor's
+    roots are isolated by _isolate; the float is the interval midpoint.
     """
-    if poly.degree < 1:
-        return []
-    eps = Fraction(1, 2**60)
     roots = []
-    for factor, _mult in _sympy_poly(poly).factor_list()[1]:
-        minpoly = IntPolynomial(tuple(int(c) for c in reversed(factor.all_coeffs()))).primitive()
-        for (lo, hi), _m in factor.intervals(eps=eps):
-            lo, hi = Fraction(lo.p, lo.q), Fraction(hi.p, hi.q)
-            if lo == hi:
-                lo, hi = lo - eps, hi + eps
+    for minpoly, _mult in _factor(poly)[1]:
+        for lo, hi in _isolate(list(minpoly.coeffs)):
             roots.append((float((lo + hi) / 2), minpoly, lo, hi))
     return sorted(roots, key=lambda r: r[0])
 
@@ -553,22 +919,10 @@ class MahlerMeasure(float):
         return self
 
 
-def mahler_measure(poly: "IntPolynomial | Sequence[int]", rel_tol: float = 1e-9) -> MahlerMeasure:
-    """Mahler measure |lead| * prod(max(1, |root|)), with a proven relative error.
-
-    Each cluster of _root_enclosures contributes max(1, low)^m and
-    max(1, high)^m to an exact rational interval [L, U] holding the measure;
-    the first enclosure whose interval fits rel_tol is used.  The result is
-    the float nearest (L + U) / 2, and its error_bound is the largest
-    relative distance from it to L or U, rounded up.  Raises UncertifiedError
-    when no enclosure fits.
-    """
-    if not isinstance(poly, IntPolynomial):
-        poly = IntPolynomial(tuple(poly))
-    if poly.is_zero():
-        raise ValueError("Mahler measure of the zero polynomial is undefined")
-    if not rel_tol >= 2**-52:
-        raise ValueError("rel_tol must be at least 2^-52, the resolution of a float result")
+def _measure_brackets(poly: IntPolynomial) -> Iterator[tuple[int, int, int]]:
+    """(low, high, scale) per enclosure of _root_enclosures: each cluster
+    contributes max(1, low)^m and max(1, high)^m, so the Mahler measure lies
+    in [low, high] / scale."""
     for bits, clusters in _root_enclosures(poly):
         one = 1 << bits
         low = high = abs(poly.leading)
@@ -577,14 +931,59 @@ def mahler_measure(poly: "IntPolynomial | Sequence[int]", rel_tol: float = 1e-9)
             low *= max(one, lo) ** m
             high *= max(one, hi) ** m
             scale *= one**m
-        try:
-            value = (low + high) / (2 * scale)
-        except OverflowError:
-            raise ValueError("the Mahler measure exceeds the float64 range") from None
-        v = Fraction(value)
-        err = _float_up(max(v - Fraction(low, scale), Fraction(high, scale) - v) / v)
-        if err <= rel_tol:
-            return MahlerMeasure(value, err)
+        yield low, high, scale
+
+
+def _certified(low: int, high: int, scale: int, rel_tol: float) -> MahlerMeasure | None:
+    """The float nearest (low + high) / (2 scale), if [low, high] / scale lies
+    within rel_tol of it, with the largest relative distance rounded up."""
+    try:
+        value = (low + high) / (2 * scale)
+    except OverflowError:
+        raise ValueError("the Mahler measure exceeds the float64 range") from None
+    v = Fraction(value)
+    err = _float_up(max(v - Fraction(low, scale), Fraction(high, scale) - v) / v)
+    return MahlerMeasure(value, err) if err <= rel_tol else None
+
+
+def mahler_measure(poly: "IntPolynomial | Sequence[int]", rel_tol: float = 1e-9) -> MahlerMeasure:
+    """Mahler measure |lead| * prod(max(1, |root|)), with a proven relative error.
+
+    A square-free poly (zero roots aside) is read from the first bracket of
+    _measure_brackets that _certified accepts.  Otherwise the disks would
+    converge only linearly on the repeated roots, so the measure is taken
+    as |content| * prod M(part)^e over Yun's square-free parts, each
+    bracketed to a relative width of min(rel_tol, 1) / (4 sum e); the
+    product then fits rel_tol.  Raises UncertifiedError when no enclosure
+    fits.
+    """
+    if not isinstance(poly, IntPolynomial):
+        poly = IntPolynomial(tuple(poly))
+    if poly.is_zero():
+        raise ValueError("Mahler measure of the zero polynomial is undefined")
+    if not rel_tol >= 2**-52:
+        raise ValueError("rel_tol must be at least 2^-52, the resolution of a float result")
+    f = _primitive(list(poly.coeffs[next(i for i, c in enumerate(poly.coeffs) if c) :]))
+    parts = _square_free(f) if len(f) > 1 else [(f, 1)]
+    if parts == [(f, 1)]:
+        for bracket in _measure_brackets(poly):
+            m = _certified(*bracket, rel_tol)
+            if m is not None:
+                return m
+    else:
+        width = Fraction(min(rel_tol, 1.0)) / (4 * sum(e for _, e in parts))
+        brackets = [
+            next((b for b in _measure_brackets(IntPolynomial(g)) if b[1] - b[0] <= width * b[0]), None)
+            for g, _ in parts
+        ]
+        if None not in brackets:
+            low = high = poly.content()
+            scale = 1
+            for (lo, hi, sc), (_, e) in zip(brackets, parts):
+                low, high, scale = low * lo**e, high * hi**e, scale * sc**e
+            m = _certified(low, high, scale, rel_tol)
+            if m is not None:
+                return m
     raise UncertifiedError(f"no root enclosure reached relative width {rel_tol}")
 
 

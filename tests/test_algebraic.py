@@ -36,6 +36,11 @@ GOLDEN = 0.6180339887498949
 GOLDEN_MINPOLY = IntPolynomial((-1, 1, 1))  # x^2 + x - 1
 
 
+def bounded_by(p, n, height):
+    """Membership in the search family deg < n, max |coefficient| <= height."""
+    return not p.is_zero() and p.degree < n and max(abs(c) for c in p.coeffs) <= height
+
+
 class TestIntPolynomial:
     def test_trailing_zeros_trimmed(self):
         p = IntPolynomial((1, 2, 0, 0))
@@ -93,10 +98,10 @@ class TestIntPolynomial:
 
     def test_bounded_by(self):
         p = IntPolynomial((1, -2, 0, 1))
-        assert p.bounded_by(4, 2)
-        assert not p.bounded_by(3, 2)  # degree 3 not < 3
-        assert not p.bounded_by(4, 1)  # |-2| > 1
-        assert not IntPolynomial(()).bounded_by(4, 2)
+        assert bounded_by(p, 4, 2)
+        assert not bounded_by(p, 3, 2)  # degree 3 not < 3
+        assert not bounded_by(p, 4, 1)  # |-2| > 1
+        assert not bounded_by(IntPolynomial(()), 4, 2)
 
 
 class TestReduceModMinpoly:
@@ -220,9 +225,15 @@ class TestAlgebraicNumber:
             AlgebraicNumber.from_root_near(IntPolynomial((0, 2, -2, -2)), x0)
 
 
+def _sympy_poly(poly):
+    import sympy
+
+    return sympy.Poly(list(reversed(poly.coeffs)), sympy.Symbol("x"))
+
+
 def _oracle_real_roots(poly):
     """Real roots with multiplicity, sympy real_roots() rounded via 25 digits."""
-    return [float(r.evalf(25)) for r in algebraic._sympy_poly(poly).real_roots()]
+    return [float(r.evalf(25)) for r in _sympy_poly(poly).real_roots()]
 
 
 def _sign_polys(count, seed=17):
@@ -252,9 +263,131 @@ class TestRealRoots:
         assert (lo + hi) / 2 == Fraction(1, 3)
         assert x == 1 / 3
 
+    @pytest.mark.parametrize(
+        "coeffs",
+        [(1, -1000, 1), (1, 0, -10**7, 0, 3), (-2, 0, 0, 10**12)],
+        ids=["near-1e-3", "near-3e-4", "cube-root"],
+    )
+    def test_small_roots_are_correctly_rounded(self, coeffs):
+        # below 2^-6 a 2^-60 interval's midpoint may round differently from
+        # the root, so those intervals are bisected further
+        p = IntPolynomial(coeffs)
+        roots = _real_roots(p)
+        assert [r[0] for r in roots] == sorted(set(_oracle_real_roots(p)))
+        assert any(abs(r[0]) < 2**-6 for r in roots)
+        for x, minpoly, lo, hi in roots:
+            assert AlgebraicNumber(minpoly, lo, hi).to_float() == x
+
     def test_constant_has_none(self):
         assert _real_roots(IntPolynomial((5,))) == []
         assert _real_roots(IntPolynomial(())) == []
+
+    @pytest.mark.parametrize(
+        "factor",
+        [IntPolynomial((-1, 1)), IntPolynomial((1, 1)), IntPolynomial((-1, 2)), IntPolynomial((2, 3)),
+         IntPolynomial((-3, 0, 5)), IntPolynomial((1, -7, 0, 4))],
+        ids=["root-1", "root-minus-1", "half", "minus-two-thirds", "non-monic-quadratic", "non-monic-cubic"],
+    )
+    def test_interval_counts_match_sympy(self, factor):
+        rng = np.random.default_rng(factor.degree * 31 + factor.coeffs[0])
+        for p in _sign_polys(8, seed=int(rng.integers(1000))):
+            p = p * factor
+            roots = _real_roots(p)
+            assert len(roots) == len(set(_oracle_real_roots(p))), p
+            for _, minpoly, lo, hi in roots:
+                assert _sympy_poly(minpoly).count_roots(lo, hi) == 1, (p, minpoly)
+            for minpoly, _ in algebraic._factor(p)[1]:
+                for _ in range(6):
+                    lo, hi = sorted(_random_rational(rng) for _ in range(2))
+                    if lo == hi or minpoly(lo) == 0 or minpoly(hi) == 0:
+                        continue
+                    got = algebraic._count_roots(minpoly, lo, hi)
+                    assert got == _sympy_poly(minpoly).count_roots(lo, hi), (minpoly, lo, hi)
+
+
+def _random_rational(rng):
+    """A seeded rational in [-12, 12] with denominator at most 6."""
+    return Fraction(int(rng.integers(-12, 13)), int(rng.integers(1, 7)))
+
+
+def _oracle_factor(poly):
+    """sympy's factor_list as (content, sorted (coefficients, multiplicity))."""
+    content, factors = _sympy_poly(poly).factor_list()
+    return int(content), sorted((tuple(int(c) for c in reversed(f.all_coeffs())), m) for f, m in factors)
+
+
+def _power(p, m):
+    out = IntPolynomial((1,))
+    for _ in range(m):
+        out = out * p
+    return out
+
+
+def _factored(poly):
+    content, factors = algebraic._factor(poly)
+    return content, sorted((f.coeffs, m) for f, m in factors)
+
+
+def _family_polys(count, height, seed):
+    """Seeded polynomials of degree 3..40, coefficients in [-height, height]."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        c = rng.integers(-height, height + 1, int(rng.integers(3, 41)) + 1).tolist()
+        c[-1] = c[-1] or 1
+        out.append(IntPolynomial(tuple(c)))
+    return out
+
+
+X = IntPolynomial((0, 1))
+PHI3 = IntPolynomial((1, 1, 1))
+X4_PLUS_1 = IntPolynomial((1, 0, 0, 0, 1))
+SQRT2_SQRT3 = IntPolynomial((1, 0, -10, 0, 1))  # roots +-sqrt(2) +- sqrt(3)
+
+
+class TestFactor:
+    """_factor against sympy's factor_list."""
+
+    @pytest.mark.parametrize("height, seed", [(1, 41), (2, 43)], ids=["sign", "difference-set"])
+    def test_family_sweep(self, height, seed):
+        for p in _family_polys(20, height, seed):
+            assert _factored(p) == _oracle_factor(p), p
+
+    @pytest.mark.parametrize(
+        "poly",
+        [
+            PHI3 * PHI3 * _power(IntPolynomial((-1, 1)), 3) * IntPolynomial((3, 2)),  # repeated factors
+            IntPolynomial((-1,) + (0,) * 11 + (1,)),  # x^12 - 1: six cyclotomic factors
+            IntPolynomial((-1,) + (0,) * 14 + (1,)),  # x^15 - 1
+            IntPolynomial((1,) * 7),  # Phi_7
+            IntPolynomial((-1, 2)) * IntPolynomial((1, 0, 3)) * IntPolynomial((5, -1, 0, 7)),  # non-monic
+            IntPolynomial((-6,)) * GOLDEN_MINPOLY * IntPolynomial((2, 1)),  # content, negative lead
+            _power(X, 3) * IntPolynomial((-2, 0, 1)),  # zero roots
+            X4_PLUS_1,  # irreducible, reducible mod every prime
+            SQRT2_SQRT3,
+            X4_PLUS_1 * SQRT2_SQRT3,
+            SQRT2_SQRT3 * SQRT2_SQRT3 * IntPolynomial((-3, 0, 2)),
+            IntPolynomial((5,)),
+            IntPolynomial((-3,)),
+            IntPolynomial(()),
+        ],
+        ids=[
+            "repeated", "x12-1", "x15-1", "phi7", "non-monic", "content-negative-lead",
+            "zero-roots", "x4+1", "x4-10x2+1", "two-quartics", "squared-quartic",
+            "constant", "negative-constant", "zero",
+        ],
+    )
+    def test_special_inputs(self, poly):
+        assert _factored(poly) == _oracle_factor(poly)
+
+    def test_factors_reassemble_the_input(self):
+        for p in _family_polys(10, 2, 47):
+            content, factors = algebraic._factor(p)
+            prod = IntPolynomial((content,))
+            for f, m in factors:
+                assert f == f.primitive()
+                prod = prod * _power(f, m)
+            assert prod == p
 
 
 class TestMahlerMeasure:
@@ -344,6 +477,9 @@ def _enclosures_taken(monkeypatch, poly, rel_tol=1e-9):
 
 
 CYCLOTOMIC_SQUARED = IntPolynomial((1, 1, 1)) * IntPolynomial((1, 1, 1))
+# 10^20 (x - 2)^2 - 1: square-free, but its roots 2 +- 1e-10 look double to
+# the float estimates, so its disks need Weierstrass steps too
+CLOSE_PAIR = IntPolynomial((4 * 10**20 - 1, -4 * 10**20, 10**20))
 RANDOM_16 = _random_polys(1, seed=11)[0]  # degree 16
 RANDOM_30 = _random_polys(30)
 
@@ -391,26 +527,51 @@ class TestCertifiedMahler:
         [(CYCLOTOMIC_SQUARED, IntPolynomial((1, 1, 1))), (RANDOM_16 * RANDOM_16, RANDOM_16)],
         ids=["cyclotomic-squared", "random-squared"],
     )
-    def test_repeated_roots_take_weierstrass_steps(self, monkeypatch, square, root_poly):
+    def test_repeated_roots_take_weierstrass_steps(self, square, root_poly):
         # float estimates of a double root are off by about 1e-8, so the
         # first disks are too wide; exact Weierstrass steps narrow them
-        m, taken = _enclosures_taken(monkeypatch, square)
+        oracle = _oracle_mahler(root_poly.coeffs) ** 2
+        for taken, bracket in enumerate(algebraic._measure_brackets(square), start=1):
+            m = algebraic._certified(*bracket, 1e-9)
+            if m is not None:
+                break
         assert taken > 1
-        self.assert_certified(m, _oracle_mahler(root_poly.coeffs) ** 2)
+        self.assert_certified(m, oracle)
+        self.assert_certified(mahler_measure(square), oracle)
+
+    def test_close_roots_take_weierstrass_steps(self, monkeypatch):
+        m, taken = _enclosures_taken(monkeypatch, CLOSE_PAIR)
+        assert taken > 1
+        self.assert_certified(m, _oracle_mahler(CLOSE_PAIR.coeffs))
+
+    @pytest.mark.parametrize(
+        "coeffs, value",
+        [
+            ((1, 12, 66, 220, 495, 792, 924, 792, 495, 220, 66, 12, 1), 1.0),  # (1 + x)^12
+            ((0, 0, 0, 2, -6, 6, -2), 2.0),  # -2 x^3 (x - 1)^3
+            ((-4, 12, -9, 2), 8.0),  # (x - 2)^2 (2x - 1)
+        ],
+        ids=["one-plus-x-12", "content-and-zeros", "double-root-non-monic"],
+    )
+    def test_repeated_roots_multiply_square_free_parts(self, coeffs, value):
+        # exact values: mp.polyroots does not converge on repeated roots
+        self.assert_certified(mahler_measure(coeffs), value)
 
     def test_refuses_when_no_enclosure_fits(self, monkeypatch):
         monkeypatch.setattr(algebraic, "_WEIERSTRASS_STEPS", 1)
         with pytest.raises(ArithmeticError, match="relative width"):
-            mahler_measure(CYCLOTOMIC_SQUARED)
+            mahler_measure(CLOSE_PAIR)
         with pytest.raises(ArithmeticError, match="decided the count"):
             count_roots_in_disk(CYCLOTOMIC_SQUARED, 1.0 + 1e-8)
 
     def test_refusal_is_uncertified_error(self, monkeypatch):
         monkeypatch.setattr(algebraic, "_WEIERSTRASS_STEPS", 1)
         with pytest.raises(UncertifiedError):
-            mahler_measure(CYCLOTOMIC_SQUARED)
+            mahler_measure(CLOSE_PAIR)
         with pytest.raises(UncertifiedError):
             count_roots_in_disk(CYCLOTOMIC_SQUARED, 1.0 + 1e-8)
+        with pytest.raises(UncertifiedError):
+            mahler_measure(CYCLOTOMIC_SQUARED * CLOSE_PAIR)
 
 
 class TestRootEnclosures:

@@ -18,6 +18,17 @@ from bconv.cli import dispatch, load_system_spec
 DATA = Path(__file__).parent / "data"
 GOLDEN_SPEC = DATA / "golden-1d.json"
 THIRD_SPEC = DATA / "third-1d.json"
+# lambda = sqrt(3) - sqrt(2), a root of x^4 - 10x^2 + 1: irreducible over Z
+# but reducible modulo every prime, so factoring it recombines lifted factors
+SQRT3_MINUS_SQRT2 = (
+    '{"lambda": [0.31783724519578227], '
+    '"maps": [{"a": [0], "p": 0.25}, {"a": [1], "p": 0.25}, {"a": [10], "p": 0.5}]}'
+)
+# lambda a root of the irreducible cubic x^3 + x - 1
+CUBIC_SPEC = (
+    '{"lambda": [0.6823278038280193], '
+    '"maps": [{"a": [1], "p": 0.5}, {"a": [-1], "p": 0.5}], "minpolys": [[-1, 1, 0, 1]]}'
+)
 PAIR_CSV = DATA / "pair.csv"
 SRC = Path(__file__).resolve().parent.parent / "src"
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -343,13 +354,34 @@ class TestExitCodes:
         assert dispatch([*argv, "--strategy", "exhaustive", "--budget", "0"]) == 2
         assert "budget refused" in capsys.readouterr().err
 
-    def test_uncertified_mahler_is_an_error_line(self, capsys):
-        # (1+x)^12: the 12-fold root -1 defeats every root enclosure
-        argv = ["mahler", "--poly", "1,12,66,220,495,792,924,792,495,220,66,12,1"]
+    def test_uncertified_mahler_is_an_error_line(self, capsys, monkeypatch):
+        # 10^20 (x - 2)^2 - 1 has roots 2 +- 1e-10; one enclosure step
+        # cannot separate them to the default tolerance
+        monkeypatch.setattr(algebraic, "_WEIERSTRASS_STEPS", 1)
+        argv = ["mahler", "--poly", f"{4 * 10**20 - 1},{-4 * 10**20},{10**20}"]
         assert dispatch(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: no root enclosure")
         assert "Traceback" not in err
+
+    def test_repeated_root_mahler_is_certified(self, tmp_path):
+        # (1+x)^12: the 12-fold root -1 is measured on its square-free part 1 + x
+        got = run_json(["mahler", "--poly", "1,12,66,220,495,792,924,792,495,220,66,12,1"], tmp_path)
+        assert got["mahler"] == 1.0 and got["error_bound"] == 0.0
+
+    def test_recombination_budget_refusal_is_exit_2(self, tmp_path, capsys, monkeypatch):
+        spec = tmp_path / "sqrt3-sqrt2.json"
+        spec.write_text(SQRT3_MINUS_SQRT2)
+        argv = ["approx", "--spec", str(spec), "--n", "5"]
+        got = run_json(argv, tmp_path)
+        assert got["rows"][0]["poly"] == [-1, 0, 10, 0, -1]
+        assert got["eta"] == [0.31783724519578227]
+        # a tiny budget for factoring only: the search keeps the default one
+        search, budget = algebraic._smallest, algebraic._DEFAULT_BUDGET
+        monkeypatch.setattr(algebraic, "_smallest", lambda xi, n, c, k, _: search(xi, n, c, k, budget))
+        monkeypatch.setattr(algebraic, "_DEFAULT_BUDGET", 1)
+        assert dispatch(argv) == 2
+        assert "tries more than 1 subsets" in capsys.readouterr().err
 
     def test_other_arithmetic_errors_surface(self, monkeypatch):
         def divide(poly):
@@ -403,12 +435,30 @@ class TestExitCodes:
         assert dispatch(["overlap", "--spec", str(p), "--n", "10"]) == 1
         assert "reducible" in capsys.readouterr().err
 
-    def test_low_degree_minpolys_never_import_sympy(self):
+    def test_low_degree_minpolys_never_import_sympy(self, tmp_path):
+        """No command imports sympy, whatever the minpoly degree: it is only
+        the tests' factoring oracle."""
+        cubic = tmp_path / "cubic.json"
+        cubic.write_text(CUBIC_SPEC)
         code = (
             "import sys\n"
+            "from bconv.algebraic import AlgebraicNumber, IntPolynomial\n"
             "from bconv.cli import dispatch\n"
+            "def no_sympy(what):\n"
+            "    assert 'sympy' not in sys.modules, what\n"
             "for cmd in ('rw-entropy', 'overlap', 'separation'):\n"
             f"    assert dispatch([cmd, '--spec', {str(GOLDEN_SPEC)!r}, '--n', '4']) == 0\n"
+            "    no_sympy(cmd)\n"
+            f"assert dispatch(['overlap', '--spec', {str(cubic)!r}, '--n', '6']) == 0\n"
+            "no_sympy('overlap on a cubic minpoly')\n"
+            f"assert dispatch(['approx', '--spec', {str(GOLDEN_SPEC)!r}, '--n', '8', '--rw-n', '4']) == 0\n"
+            "no_sympy('approx')\n"
+            "assert dispatch(['poly-search', '--xi', '0.7', '--n', '10', '--coeffs', '-1,0,1']) == 0\n"
+            "no_sympy('poly-search')\n"
+            "assert dispatch(['mahler', '--poly', '1,12,66,220,495,792,924,792,495,220,66,12,1']) == 0\n"
+            "no_sympy('mahler')\n"
+            "AlgebraicNumber.from_root_near(IntPolynomial((1, -1, 0, -1, 0, 1)), 0.8)\n"
+            "no_sympy('from_root_near')\n"
             "print('sympy' in sys.modules, file=sys.stderr)\n"
         )
         path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
