@@ -387,28 +387,12 @@ def _cmd_decompose(args) -> dict:
     lam = _lam_from_args(args)
     n = _parse_one(args.n)
     out = dec.bernoulli_decompose(nu, lam, n, args.big_n, args.eps)
-    rows = []
-    for p in out.pairs:
-        rows.append(
-            {
-                "x": list(p.x),
-                "y": list(p.y),
-                "mass": p.mass,
-                "rescaled_distance": p.rescaled_distance,
-                "statement_distance": p.statement_distance,
-                "in_statement_window": p.in_statement_window,
-            }
-        )
+    columns = ["x", "y", "mass", "rescaled_distance", "statement_distance", "in_statement_window"]
+    # Endpoint lists, then the Decomposition column of each remaining name.
+    values = out.pairs.swapaxes(0, 1).tolist() + [getattr(out, c).tolist() for c in columns[2:]]
     return {
-        "columns": [
-            "x",
-            "y",
-            "mass",
-            "rescaled_distance",
-            "statement_distance",
-            "in_statement_window",
-        ],
-        "rows": rows,
+        "columns": columns,
+        "rows": [dict(zip(columns, row)) for row in zip(*values)],
         "paired_mass": out.paired_mass,
         "theta_mass": out.theta.mass,
         "window_low": out.window_low,

@@ -31,7 +31,6 @@ from .measures import DiscreteMeasure, bernoulli_power, convolve
 from .scales import ScaleVector, s_sequence, validate_contraction_vector
 
 __all__ = [
-    "BernoulliPair",
     "Decomposition",
     "bernoulli_decompose",
     "IncreaseReport",
@@ -49,32 +48,23 @@ _PHASE_BITS = 30
 _INT32_MAX = 2**31 - 1
 
 
-@dataclass(frozen=True)
-class BernoulliPair:
-    """Equal mass on two atoms: (mass/2)(delta_x + delta_y)."""
-
-    x: tuple[float, ...]
-    y: tuple[float, ...]
-    mass: float
-    rescaled_distance: float  # |s_{n+2N}^{-1} (x - y)|
-    statement_distance: float  # |s_n^{-1} (x - y)|
-    in_statement_window: bool
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays: compare and hash by identity, as theta does
 class Decomposition:
+    """nu = theta + sum_i (mass_i/2)(delta_x_i + delta_y_i), one read-only
+    array entry per pair i, in admissible-edge order."""
+
     theta: DiscreteMeasure
-    pairs: tuple[BernoulliPair, ...]
+    pairs: np.ndarray  # (m, 2, d): endpoints x_i = pairs[i, 0], y_i = pairs[i, 1]
+    mass: np.ndarray
+    rescaled_distance: np.ndarray  # |s_{n+2N}^{-1} (x - y)|
+    statement_distance: np.ndarray  # |s_n^{-1} (x - y)|
+    in_statement_window: np.ndarray  # bool: eps <= statement_distance <= 1/eps
     paired_mass: float
     original_mass: float
     window_low: float
     window_high: float
     method: str  # "max-flow" or "greedy"
     optimality_gap: float  # 0 for the exact method
-
-    def mass_identity_defect(self) -> float:
-        """|theta + paired mass - original mass| should vanish to 1e-12."""
-        return abs(self.theta.mass + self.paired_mass - self.original_mass)
 
 
 def bernoulli_decompose(
@@ -118,34 +108,36 @@ def bernoulli_decompose(
     k = nu.n_atoms
     ei, ej, dist = _admissible_pairs(z, r_low, r_high)
     weights = nu.weights
-    if len(ei) == 0:
-        return Decomposition(nu, (), 0.0, nu.mass, r_low, r_high, "max-flow", 0.0)
-
-    if k <= _GREEDY_THRESHOLD:
-        num, scale = _maxflow_pairing(k, weights, ei, ej)
-        # int / int rounds correctly, however large the integers.
-        pair_mass, method, gap = [f / scale for f in num.tolist()], "max-flow", 0.0
+    method = "max-flow"
+    if len(ei) == 0:  # nothing to pair: no solver, no scipy import
+        pair_mass = np.zeros(0)
+    elif k <= _GREEDY_THRESHOLD:
+        pair_mass = _maxflow_pairing(k, weights, ei, ej)
     else:
-        pair_mass, method, gap = _greedy_pairing(k, weights, ei, ej)
+        pair_mass, method = _greedy_pairing(weights, ei, ej), "greedy"
 
-    pair_mass = np.asarray(pair_mass, dtype=float)
+    touched = np.zeros(k, dtype=bool)
+    touched[ei] = touched[ej] = True
     sel = pair_mass > _PAIR_MASS_FLOOR
     ei, ej, dist, pair_mass = ei[sel], ej[sel], dist[sel], pair_mass[sel]
     stmt = _row_norms((nu.points[ei] - nu.points[ej]) / s_stmt)
     used = np.zeros(k)
     # Interleaved i, j order: each atom accumulates its halves in edge order.
     np.add.at(used, np.column_stack((ei, ej)).ravel(), np.repeat(pair_mass / 2.0, 2))
-    pts = nu.points.tolist()
-    pairs = tuple(
-        BernoulliPair(tuple(pts[i]), tuple(pts[j]), m, rd, sd, eps <= sd <= 1.0 / eps)
-        for i, j, m, rd, sd in zip(
-            ei.tolist(), ej.tolist(), pair_mass.tolist(), dist.tolist(), stmt.tolist()
-        )
+    theta = DiscreteMeasure(nu.points, np.maximum(weights - used, 0.0))
+    paired = math.fsum(pair_mass.tolist())
+    # Greedy's bound: every atom some edge touches could at best pair off whole.
+    gap = max(0.0, float(np.sum(weights[touched])) - paired) if method == "greedy" else 0.0
+    columns = (
+        np.stack((nu.points[ei], nu.points[ej]), axis=1),
+        pair_mass,
+        dist,
+        stmt,
+        (eps <= stmt) & (stmt <= 1.0 / eps),
     )
-    residual = np.maximum(weights - used, 0.0)
-    theta = DiscreteMeasure(nu.points, residual)
-    paired = math.fsum(p.mass for p in pairs)
-    return Decomposition(theta, pairs, paired, nu.mass, r_low, r_high, method, gap)
+    for col in columns:
+        col.setflags(write=False)
+    return Decomposition(theta, *columns, paired, nu.mass, r_low, r_high, method, gap)
 
 
 def _admissible_pairs(z, r_low, r_high):
@@ -201,8 +193,8 @@ def _maxflow_pairing(k, weights, ei, ej):
     Float capacities break augmenting-path solvers (residuals drift off
     zero), but every float64 weight is a dyadic rational, so the weights are
     rescaled to exact integers first and the flow is computed over Z.
-    Returns the exact pair masses as Python ints over a common denominator:
-    (numerators per edge, denominator).
+    Returns each edge's pair mass as a float, correctly rounded from the
+    exact integer flow.
     """
     ratios = [w.as_integer_ratio() for w in weights.tolist()]
     scale = math.lcm(*(den for _, den in ratios))
@@ -220,7 +212,9 @@ def _maxflow_pairing(k, weights, ei, ej):
     # pair mass is the sum of the two cross flows, and the total flow value
     # equals the total paired mass.
     ne = len(ei)
-    return flow[2 * k : 2 * k + ne] + flow[2 * k + ne :], scale
+    num = flow[2 * k : 2 * k + ne] + flow[2 * k + ne :]
+    # int / int rounds correctly, however large the integers.
+    return np.array([f / scale for f in num.tolist()])
 
 
 def _certified_max_flow(n_nodes, tails, heads, cap, source, sink):
@@ -301,9 +295,10 @@ def _certified_max_flow(n_nodes, tails, heads, cap, source, sink):
     return flow
 
 
-def _greedy_pairing(k, weights, ei, ej):
-    """Maximal greedy pairing; reports an upper bound on the missed mass."""
-    residual = np.asarray(weights, dtype=float).tolist()
+def _greedy_pairing(weights, ei, ej):
+    """Maximal greedy pairing: edges by decreasing smaller endpoint weight,
+    each taking all the mass both endpoints still have; one mass per edge."""
+    residual = weights.tolist()
     order = np.argsort(-np.minimum(weights[ei], weights[ej]), kind="stable")
     ei_l, ej_l = ei.tolist(), ej.tolist()
     out = [0.0] * len(ei_l)
@@ -314,11 +309,7 @@ def _greedy_pairing(k, weights, ei, ej):
             out[e] = m
             residual[i] -= m / 2.0
             residual[j] -= m / 2.0
-    value = math.fsum(out)
-    touched = np.zeros(k, dtype=bool)
-    touched[ei] = touched[ej] = True
-    upper = float(np.sum(np.asarray(weights)[touched]))
-    return out, "greedy", max(0.0, upper - value)
+    return np.array(out)
 
 
 # ---------------------------------------------------------------------------

@@ -208,9 +208,9 @@ def test_c08_decomposition_optimality_and_windows():
                 nu, lam, 1, 1, dec.window_low, dec.window_high
             )
             assert dec.paired_mass == pytest.approx(opt, abs=1e-9)
-            for p in dec.pairs:
-                assert dec.window_low - 1e-9 <= p.rescaled_distance
-                assert p.rescaled_distance <= dec.window_high + 1e-9
+            for rd in dec.rescaled_distance.tolist():
+                assert dec.window_low - 1e-9 <= rd
+                assert rd <= dec.window_high + 1e-9
             if edges:
                 with_edges += 1
         assert with_edges >= 15

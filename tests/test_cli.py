@@ -2,6 +2,7 @@
 exit codes, output formats, and byte-identical reruns."""
 
 import enum
+import hashlib
 import importlib.util
 import json
 import os
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bconv import algebraic, cli
+from bconv import algebraic, cli, decompose
 from bconv.cli import dispatch, load_system_spec
 
 DATA = Path(__file__).parent / "data"
@@ -842,3 +843,44 @@ class TestPinnedReports:
         assert dispatch([str(out) if a == "{out}" else a for a in words_ops[op_id]]) == 0
         pinned = json.loads((PERFBENCH / "pinned.json").read_text())
         assert json.loads(out.read_bytes()) == pinned[op_id]
+
+    @pytest.mark.parametrize(
+        "threshold, method, n_rows, json_sha, csv_sha",
+        [
+            (
+                10_000,
+                "max-flow",
+                43,
+                "6807d665efef16b8d9ea621105e40bfc2499749a66483efe18726a09f6b5dd72",
+                "eefb062948978241105ae75e05741c9ca2c68e6005a9a7ccd8995d6b426edb4c",
+            ),
+            (
+                1,
+                "greedy",
+                26,
+                "f01eb5f802bb56f17b0092e9e066443ce1bf0ffe6b7639962d025c3289db192f",
+                "ebae3e4467df3bb44e022eaf976dca0c437a5c7e152c9729e90383574975554f",
+            ),
+        ],
+        ids=["max-flow", "greedy"],
+    )
+    def test_decompose_2d_reports_are_pinned(
+        self, threshold, method, n_rows, json_sha, csv_sha, monkeypatch, tmp_path
+    ):
+        # 40 seeded atoms in a square of side 25, sparse enough that some
+        # have no admissible partner; every byte of both report formats is
+        # pinned, on each side of the max-flow/greedy size rule
+        rng = np.random.default_rng(29)
+        pts, w = rng.uniform(0.0, 25.0, (40, 2)).tolist(), rng.uniform(0.1, 1.0, 40).tolist()
+        measure = tmp_path / "atoms.csv"
+        measure.write_text("x1,x2,w\n" + "".join(f"{x!r},{y!r},{v!r}\n" for (x, y), v in zip(pts, w)))
+        monkeypatch.setattr(decompose, "_GREEDY_THRESHOLD", threshold)
+        argv = ["decompose", "--measure", str(measure), "--lam", "0.9,0.8", "--n", "1", "--N", "1",
+                "--eps", "0.5"]
+        got = run_json(argv, tmp_path)
+        assert (got["method"], len(got["rows"])) == (method, n_rows)
+        assert {row["in_statement_window"] for row in got["rows"]} == {True, False}
+        for fmt, sha in (("json", json_sha), ("csv", csv_sha)):
+            out = tmp_path / f"out.{fmt}"
+            assert dispatch([*argv, "--format", fmt, "--out", str(out)]) == 0
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == sha, fmt

@@ -161,14 +161,14 @@ class TestMaxFlowAgainstLP:
             nu, lam = _random_fixture(rng, 2, 10)
             dec = bernoulli_decompose(nu, lam, n=0, big_n=1, eps=0.05)
             used = {}
-            for p in dec.pairs:
-                assert p.mass > 0.0
-                used[p.x] = used.get(p.x, 0.0) + p.mass / 2.0
-                used[p.y] = used.get(p.y, 0.0) + p.mass / 2.0
+            for (x, y), m in zip(dec.pairs.tolist(), dec.mass.tolist()):
+                assert m > 0.0
+                used[tuple(x)] = used.get(tuple(x), 0.0) + m / 2.0
+                used[tuple(y)] = used.get(tuple(y), 0.0) + m / 2.0
             by_point = {tuple(float(c) for c in pt): w for pt, w in zip(nu.points, nu.weights)}
             for pt, u in used.items():
                 assert u <= by_point[pt] + 1e-12
-            assert dec.mass_identity_defect() < 1e-12
+            assert abs(dec.theta.mass + dec.paired_mass - dec.original_mass) < 1e-12
             assert dec.original_mass == nu.mass
 
 
@@ -186,11 +186,12 @@ class TestEdgeConstruction:
                 assert want, d
                 ei, ej, dist = _admissible_pairs(z, dec.window_low, dec.window_high)
                 assert list(zip(ei.tolist(), ej.tolist(), dist.tolist())) == want
-                assert dec.pairs
-                for p in dec.pairs:
-                    x, y = np.array(p.x), np.array(p.y)
-                    assert p.rescaled_distance == float(np.linalg.norm(x / s_pair - y / s_pair))
-                    assert p.statement_distance == float(np.linalg.norm((x - y) / s_stmt))
+                assert len(dec.pairs)
+                for (x, y), rd, sd in zip(
+                    dec.pairs, dec.rescaled_distance.tolist(), dec.statement_distance.tolist()
+                ):
+                    assert rd == float(np.linalg.norm(x / s_pair - y / s_pair))
+                    assert sd == float(np.linalg.norm((x - y) / s_stmt))
 
     @pytest.mark.parametrize(
         "fixture",
@@ -250,7 +251,7 @@ class TestExactSolver:
         assert dec.method == "max-flow"
         assert dec.optimality_gap == 0.0
         assert dec.paired_mass == 1.0
-        assert [p.mass for p in dec.pairs] == [third, third, third]
+        assert dec.mass.tolist() == [third, third, third]
 
     def test_capacities_beyond_int32(self):
         tiny = 2.0**-45
@@ -258,12 +259,13 @@ class TestExactSolver:
         dec = bernoulli_decompose(nu, (0.5,), n=0, big_n=1, eps=0.1)
         assert dec.method == "max-flow"
         assert dec.optimality_gap == 0.0
-        (pair,) = dec.pairs
-        assert Fraction(pair.mass) == 1 - Fraction(1, 2**44)
+        (mass,) = dec.mass.tolist()
+        assert dec.pairs.shape == (1, 2, 1)
+        assert Fraction(mass) == 1 - Fraction(1, 2**44)
         assert Fraction(dec.paired_mass) == 1 - Fraction(1, 2**44)
         assert Fraction(dec.theta.mass) == Fraction(1, 2**44)
 
-    def test_capacities_beyond_int64(self):
+    def test_capacities_beyond_int64(self, monkeypatch):
         # Two clusters: gaps inside a cluster fall below the 1/6 floor and
         # every cross gap is admissible, so the optimum is 2 min(W_A, W_B).
         rng = np.random.default_rng(64)
@@ -282,10 +284,25 @@ class TestExactSolver:
         z = nu.points / s_sequence((0.5,), 2).term(2).as_array()
         ei, ej, _ = _admissible_pairs(z, 1.0 / 6.0, 16.0)
         assert len(ei) == 35
-        num, scale = _maxflow_pairing(nu.n_atoms, nu.weights, ei, ej)
-        assert Fraction(sum(num.tolist()), scale) == optimum
+        flows = []
+        solve = decompose._certified_max_flow
+
+        def spy(*args):
+            flows.append(solve(*args))
+            return flows[-1]
+
+        monkeypatch.setattr(decompose, "_certified_max_flow", spy)
+        mass = _maxflow_pairing(nu.n_atoms, nu.weights, ei, ej)
+        # The exact pair masses over the weights' common denominator: each is
+        # the sum of its two cross flows, which follow the 2k atom edges.
+        (flow,) = flows
+        k, ne = nu.n_atoms, len(ei)
+        num = (flow[2 * k : 2 * k + ne] + flow[2 * k + ne :]).tolist()
+        scale = math.lcm(*(f.denominator for f in fracs))
+        assert mass.tolist() == [m / scale for m in num]
+        assert Fraction(sum(num), scale) == optimum
         used = [0] * nu.n_atoms
-        for i, j, m in zip(ei.tolist(), ej.tolist(), num.tolist()):
+        for i, j, m in zip(ei.tolist(), ej.tolist(), num):
             assert m >= 0
             used[i] += m
             used[j] += m
@@ -295,7 +312,7 @@ class TestExactSolver:
         assert dec.method == "max-flow"
         assert dec.optimality_gap == 0.0
         assert dec.paired_mass == pytest.approx(float(optimum), rel=1e-15)
-        assert dec.mass_identity_defect() < 1e-12
+        assert abs(dec.theta.mass + dec.paired_mass - dec.original_mass) < 1e-12
 
     def test_certificate_rejects_a_flow_that_breaks_conservation(self, monkeypatch):
         # A solver that fills the source edges and nothing else reaches the
@@ -323,8 +340,22 @@ class TestExactSolver:
         assert dec.method == "max-flow"
         assert dec.optimality_gap == 0.0
         assert abs(dec.paired_mass - opt) <= 1e-9
-        assert dec.mass_identity_defect() < 1e-12
+        assert abs(dec.theta.mass + dec.paired_mass - dec.original_mass) < 1e-12
         assert elapsed < 5.0
+
+
+def _fresh_interpreter(code):
+    """stdout of code run by a new interpreter on this checkout's bconv."""
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    res = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    return res.stdout.strip()
 
 
 def test_decompose_never_imports_networkx():
@@ -336,16 +367,20 @@ def test_decompose_never_imports_networkx():
         "assert bernoulli_decompose(nu, (0.5,), n=0, big_n=1, eps=0.1).method == 'max-flow'\n"
         "print('networkx' in sys.modules)\n"
     )
-    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
-    res = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        timeout=120,
-        check=True,
+    assert _fresh_interpreter(code) == "False"
+
+
+def test_no_admissible_pair_never_imports_scipy():
+    # with no edge to pair there is no flow to solve
+    code = (
+        "import sys\n"
+        "from bconv.decompose import bernoulli_decompose\n"
+        "from bconv.measures import from_atoms\n"
+        "nu = from_atoms([((0.0,), 0.5), ((1e-6,), 0.5)])\n"
+        "dec = bernoulli_decompose(nu, (0.5,), n=0, big_n=1, eps=0.1)\n"
+        "print(dec.method, dec.optimality_gap, dec.pairs.shape, 'scipy' in sys.modules)\n"
     )
-    assert res.stdout.strip() == "False"
+    assert _fresh_interpreter(code) == "max-flow 0.0 (0, 2, 1) False"
 
 
 class TestTwoPairFixture:
@@ -358,12 +393,12 @@ class TestTwoPairFixture:
         assert dec.paired_mass == pytest.approx(1.0, abs=1e-12)
         assert dec.theta.mass == pytest.approx(0.0, abs=1e-12)
         assert len(dec.pairs) == 2
-        for p in dec.pairs:
-            assert p.mass == pytest.approx(0.5, abs=1e-12)
+        for i in range(2):
+            assert dec.mass[i] == pytest.approx(0.5, abs=1e-12)
             # s_2 = 1/4 for lambda = 1/2, so the rescaled gap is exactly 1
-            assert p.rescaled_distance == pytest.approx(1.0, abs=1e-12)
-            assert p.statement_distance == pytest.approx(0.25, abs=1e-12)
-            assert p.in_statement_window
+            assert dec.rescaled_distance[i] == pytest.approx(1.0, abs=1e-12)
+            assert dec.statement_distance[i] == pytest.approx(0.25, abs=1e-12)
+            assert dec.in_statement_window[i]
         assert dec.window_low == pytest.approx(1.0 / 6.0)
         assert dec.window_high == pytest.approx(16.0)
 
@@ -373,7 +408,7 @@ class TestTwoPairFixture:
         )
         dec = bernoulli_decompose(nu, (0.5,), n=0, big_n=1, eps=0.5)
         # statement distance 0.25 < eps = 0.5 now falls outside the loose window
-        assert all(not p.in_statement_window for p in dec.pairs)
+        assert len(dec.pairs) == 2 and not dec.in_statement_window.any()
         assert dec.paired_mass == pytest.approx(1.0, abs=1e-12)
 
 
@@ -384,16 +419,21 @@ class TestWindowDiscipline:
             d = trial % 2 + 1
             nu, lam = _random_fixture(rng, d, int(rng.integers(3, 10)))
             dec = bernoulli_decompose(nu, lam, n=1, big_n=1, eps=0.02)
-            for p in dec.pairs:
-                assert dec.window_low - 1e-9 <= p.rescaled_distance <= dec.window_high + 1e-9
-                inside = 0.02 <= p.statement_distance <= 50.0
-                assert p.in_statement_window == inside
+            for rd, sd, flag in zip(
+                dec.rescaled_distance.tolist(),
+                dec.statement_distance.tolist(),
+                dec.in_statement_window.tolist(),
+            ):
+                assert dec.window_low - 1e-9 <= rd <= dec.window_high + 1e-9
+                inside = 0.02 <= sd <= 50.0
+                assert flag is inside
 
     def test_no_admissible_pairs_leaves_theta_whole(self):
         # both atoms closer than the 1/6 floor after rescaling
         nu = from_atoms([((0.0,), 0.5), ((1e-6,), 0.5)])
         dec = bernoulli_decompose(nu, (0.5,), n=0, big_n=1, eps=0.1)
-        assert dec.pairs == ()
+        assert dec.pairs.shape == (0, 2, 1)
+        assert dec.method == "max-flow" and dec.optimality_gap == 0.0
         assert dec.paired_mass == 0.0
         assert dec.theta.mass == pytest.approx(1.0)
 
@@ -407,14 +447,14 @@ class TestGreedyFallback:
             with monkeypatch.context() as m:
                 m.setattr(decompose, "_GREEDY_THRESHOLD", 1)
                 greedy = bernoulli_decompose(nu, lam, n=1, big_n=1, eps=0.05)
-            if exact.pairs == () and greedy.pairs == ():
+            if len(exact.pairs) == 0 and len(greedy.pairs) == 0:
                 continue
             assert greedy.method == "greedy"
             assert greedy.optimality_gap >= 0.0
             assert greedy.paired_mass <= exact.paired_mass + 1e-9
             # the gap bound must cover whatever greedy missed
             assert exact.paired_mass <= greedy.paired_mass + greedy.optimality_gap + 1e-9
-            assert greedy.mass_identity_defect() < 1e-12
+            assert abs(greedy.theta.mass + greedy.paired_mass - greedy.original_mass) < 1e-12
 
 
 class TestDecomposeValidation:

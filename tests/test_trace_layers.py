@@ -6,6 +6,7 @@ a command reports."""
 
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -79,3 +80,11 @@ def test_traced_setup_ops_report_as_plain(workload, tmp_path):
     assert sum(s["name"] == "cli.dispatch" for s in rec.spans) == len(setup)
     assert after.keys() == before.keys()
     assert all(after[k] is before[k] for k in before)
+
+    # The benchmark's pair counter is len(Decomposition.pairs): one per report row.
+    spans = [s for s in rec.spans if s["name"] == "decompose.bernoulli_decompose"]
+    ops = [op for op in setup if op["argv"][0] == "decompose"]
+    assert len(spans) == len(ops) == (workload == "pairing")
+    for span, op in zip(spans, ops):
+        rows = json.loads(traced[f"{op['id']}.json"])["rows"]
+        assert span["pairs"] == len(rows) > 0
