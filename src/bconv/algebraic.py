@@ -70,6 +70,14 @@ def _as_int(c, what: str) -> int:
     raise ValueError(f"{what} must be integers")
 
 
+def _as_float(v: int, what: str) -> float:
+    """float(v); ValueError naming what when float64 cannot hold the int v."""
+    try:
+        return float(v)
+    except OverflowError:
+        raise ValueError(f"{what} must lie within the float64 range") from None
+
+
 @dataclass(frozen=True)
 class IntPolynomial:
     """Polynomial with integer coefficients, constant term first.
@@ -603,8 +611,18 @@ class AlgebraicNumber:
         return lo, hi
 
     def to_float(self) -> float:
-        lo, hi = self.refined(Fraction(1, 2**60))
-        return float((lo + hi) / 2)
+        """The root correctly rounded: refine until both ends of the
+        interval round to one float.  An irreducible minpoly of degree >= 2
+        has no rational root, so the root is never an end of the interval."""
+        c = self.minpoly.coeffs
+        if len(c) == 2:
+            return float(Fraction(-c[0], c[1]))
+        width = Fraction(1, 2**60)
+        lo, hi = self.refined(width)
+        while float(lo) != float(hi):
+            width /= 2**20
+            lo, hi = self.refined(width)
+        return float(lo)
 
     @staticmethod
     def from_root_near(poly: IntPolynomial, x0: float) -> "AlgebraicNumber":
@@ -1034,10 +1052,6 @@ class SearchResult:
     value: float
     strategy: str
 
-    @property
-    def abs_value(self) -> float:
-        return abs(self.value)
-
 
 def _validate_search(xi: float, n: int, coeff_set: Sequence[int]) -> tuple[float, int, tuple[int, ...]]:
     xi = float(xi)
@@ -1052,7 +1066,8 @@ def _validate_search(xi: float, n: int, coeff_set: Sequence[int]) -> tuple[float
         raise ValueError("coefficient set must contain a nonzero value")
     # Every |P(xi)| and partial sum is at most max|c| * sum |xi|^k; while that
     # bound is finite, no strategy's float arithmetic can overflow.
-    if not math.isfinite(max(map(abs, coeffs)) * sum(map(abs, _powers(xi, n)))):
+    c_max = _as_float(max(map(abs, coeffs)), "coefficient set entries")
+    if not math.isfinite(c_max * sum(map(abs, _powers(xi, n)))):
         raise ValueError(f"|P(xi)| overflows float64 for xi={xi!r} at degree bound {n}")
     return xi, n, coeffs
 

@@ -53,7 +53,6 @@ __all__ = [
     "en",
     "en_join_projected",
     "grid",
-    "trivial",
     "partition_entropy",
     "conditional_entropy",
     "saturation_defect",
@@ -276,11 +275,6 @@ def grid(
     if any(u < 0.0 or u >= 1.0 for u in off):
         raise ValueError("offset entries must lie in [0, 1)")
     return Keying(d, tuple(_Column(j, r[j], off[j]) for j in range(d)))
-
-
-def trivial(dim: int) -> Keying:
-    """The one-cell keying (no columns): conditioning on it is a no-op."""
-    return Keying(dim, ())
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Finitely supported measures on R^d and the transforms acting on them.
+"""Finitely supported measures on R^d: construction, convolution and CSV I/O.
 
 A DiscreteMeasure is an immutable weighted point cloud in canonical form:
 atoms sorted lexicographically by coordinates, duplicate atoms merged, zero
@@ -16,22 +16,15 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .scales import ScaleVector, _as_scale
-
 __all__ = [
     "DiscreteMeasure",
-    "ScaleBy",
-    "TranslateBy",
-    "ProjectTo",
     "from_atoms",
     "delta",
     "convolve",
-    "pushforward",
     "bernoulli_power",
     "read_atoms_csv",
     "write_atoms_csv",
@@ -77,28 +70,6 @@ class DiscreteMeasure:
     @property
     def n_atoms(self) -> int:
         return self.points.shape[0]
-
-    def atoms(self) -> Iterable[tuple[tuple[float, ...], float]]:
-        for p, w in zip(self.points, self.weights):
-            yield tuple(p), float(w)
-
-    def scaled(self, c: float) -> "DiscreteMeasure":
-        """Same support, weights multiplied by c >= 0."""
-        if c < 0:
-            raise ValueError("negative weight")
-        return DiscreteMeasure(self.points, self.weights * c)
-
-    def restrict(self, mask: np.ndarray) -> "DiscreteMeasure":
-        """Restriction to a subset of atoms (mask over canonical order)."""
-        return DiscreteMeasure(self.points[mask], self.weights[mask])
-
-    def __add__(self, other: "DiscreteMeasure") -> "DiscreteMeasure":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        return DiscreteMeasure(
-            np.concatenate([self.points, other.points]),
-            np.concatenate([self.weights, other.weights]),
-        )
 
     def __repr__(self) -> str:
         return f"DiscreteMeasure(n_atoms={self.n_atoms}, dim={self.dim}, mass={self.mass:.12g})"
@@ -156,74 +127,6 @@ def from_atoms(atoms: Iterable[tuple[Sequence[float] | float, float]]) -> Discre
 def delta(x) -> DiscreteMeasure:
     """Unit point mass."""
     return from_atoms([(x, 1.0)])
-
-
-# ---------------------------------------------------------------------------
-# Transforms
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ScaleBy:
-    """Coordinatewise scaling x -> (r_1 x_1, ..., r_d x_d)."""
-
-    factors: ScaleVector
-
-    def __post_init__(self):
-        object.__setattr__(self, "factors", _as_scale(self.factors))
-
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        if points.shape[1] != len(self.factors):
-            raise ValueError("dimension mismatch")
-        return points * self.factors.as_array()
-
-
-@dataclass(frozen=True)
-class TranslateBy:
-    """Translation x -> x + t."""
-
-    offset: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "offset", tuple(float(v) for v in np.atleast_1d(self.offset)))
-
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        if points.shape[1] != len(self.offset):
-            raise ValueError("dimension mismatch")
-        return points + np.asarray(self.offset, dtype=np.float64)
-
-
-@dataclass(frozen=True)
-class ProjectTo:
-    """Orthogonal projection onto the listed 1-based axes, in increasing order.
-
-    The empty projection is allowed and maps everything to the single point of
-    R^0; the pushforward is then one atom carrying the whole mass.
-    """
-
-    axes: tuple[int, ...]
-
-    def __post_init__(self):
-        axes = tuple(int(a) for a in self.axes)
-        if any(a < 1 for a in axes):
-            raise ValueError("axes are 1-based")
-        if list(axes) != sorted(set(axes)):
-            raise ValueError("axes must be strictly increasing")
-        object.__setattr__(self, "axes", axes)
-
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        if self.axes and max(self.axes) > points.shape[1]:
-            raise ValueError("projection axis out of range")
-        idx = [a - 1 for a in self.axes]
-        return points[:, idx]
-
-
-Transform = ScaleBy | TranslateBy | ProjectTo
-
-
-def pushforward(mu: DiscreteMeasure, transform: Transform) -> DiscreteMeasure:
-    """Image measure under a scaling, translation, or projection."""
-    return DiscreteMeasure(transform.apply(mu.points), mu.weights)
 
 
 # ---------------------------------------------------------------------------

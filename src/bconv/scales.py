@@ -2,8 +2,7 @@
 
 A scale vector is an element of the multiplicative group (0, inf)^d acting on
 R^d coordinatewise.  Anisotropic entropy computations happen at vector scales
-throughout the package, so the group structure (product, inverse, real powers)
-is exposed directly.
+throughout the package.
 
 The integer-ratio sequence s_0 = 1, s_{n+1} = s_n / b_{n+1} tracks a target
 geometric sequence lambda^n from above while keeping every consecutive ratio a
@@ -54,39 +53,9 @@ class ScaleVector:
                 raise ValueError(f"scale entries must be positive and finite, got {e}")
         object.__setattr__(self, "entries", ent)
 
-    # -- group structure ---------------------------------------------------
-
-    def __mul__(self, other: "ScaleVector") -> "ScaleVector":
-        self._check_dim(other)
-        return ScaleVector(tuple(a * b for a, b in zip(self.entries, other.entries)))
-
-    def __truediv__(self, other: "ScaleVector") -> "ScaleVector":
-        self._check_dim(other)
-        return ScaleVector(tuple(a / b for a, b in zip(self.entries, other.entries)))
-
-    def inverse(self) -> "ScaleVector":
-        return ScaleVector(tuple(1.0 / a for a in self.entries))
-
     def __pow__(self, t: float) -> "ScaleVector":
         """Real power, entrywise.  Used for lambda^t at non-integer t."""
         return ScaleVector(tuple(a**t for a in self.entries))
-
-    # -- order and geometry -------------------------------------------------
-
-    def le(self, other: "ScaleVector") -> bool:
-        """Componentwise partial order: self finer than or equal to other."""
-        self._check_dim(other)
-        return all(a <= b for a, b in zip(self.entries, other.entries))
-
-    def det(self) -> float:
-        """Product of entries: volume scaling of the induced box."""
-        return float(np.prod(self.entries))
-
-    def norm(self) -> float:
-        """Euclidean norm of the entry vector."""
-        return float(math.hypot(*self.entries))
-
-    # -- conveniences --------------------------------------------------------
 
     @staticmethod
     def ones(d: int) -> "ScaleVector":
@@ -103,10 +72,6 @@ class ScaleVector:
 
     def __iter__(self) -> Iterator[float]:
         return iter(self.entries)
-
-    def _check_dim(self, other: "ScaleVector") -> None:
-        if len(self.entries) != len(other.entries):
-            raise ValueError("scale vectors have mismatched dimensions")
 
 
 def _as_scale(r: "ScaleVector | Sequence[float] | float", d: int | None = None) -> ScaleVector:
@@ -150,10 +115,6 @@ class SSequence:
     terms: tuple[ScaleVector, ...]
     divisors: tuple[tuple[int, ...], ...]
     exact_terms: tuple[tuple[Fraction, ...], ...]
-
-    @property
-    def depth(self) -> int:
-        return len(self.terms) - 1
 
     def term(self, m: int) -> ScaleVector:
         return self.terms[m]

@@ -23,16 +23,15 @@ from typing import Sequence
 import numpy as np
 
 from . import entropy as ent
-from .algebraic import _DEFAULT_BUDGET, AlgebraicNumber, IntPolynomial, _as_int, _is_irreducible, _word_states
+from .algebraic import _DEFAULT_BUDGET, IntPolynomial, _as_float, _as_int, _is_irreducible, _word_states
 from .decompose import _admissible_pairs
 from .errors import BudgetExceededError, _warn_at_caller
-from .measures import DiscreteMeasure, ScaleBy, convolve, pushforward
+from .measures import DiscreteMeasure, convolve
 from .scales import ScaleVector, _as_scale, validate_contraction_vector
 
 __all__ = [
     "SystemSpec",
     "build_level_n",
-    "build_factor",
     "LyapunovReport",
     "lyapunov_dimension",
     "KappaReport",
@@ -69,6 +68,7 @@ class SystemSpec:
             raise ValueError("translation rows must match the dimension of lambda")
         if len(set(trans)) != len(trans):
             raise ValueError("translation rows must be distinct")
+        _as_float(max(abs(a) for row in trans for a in row), "translation entries")
         object.__setattr__(self, "translations", trans)
         probs = tuple(float(p) for p in self.probs)
         if len(probs) != len(trans):
@@ -81,14 +81,12 @@ class SystemSpec:
         if self.minpolys is not None:
             mps = []
             for j, p in enumerate(self.minpolys):
-                if isinstance(p, AlgebraicNumber):
-                    p = p.minpoly
                 if not isinstance(p, IntPolynomial):
                     p = IntPolynomial(tuple(p))
                 if p.degree < 1:
                     raise ValueError("minimal polynomials must have degree >= 1")
                 # Sanity: the polynomial must actually vanish near lambda_j.
-                scale = sum(abs(c) for c in p.coeffs)
+                scale = _as_float(sum(abs(c) for c in p.coeffs), f"minpoly coefficients for axis {j + 1}")
                 if abs(p(lam[j])) > 1e-6 * scale:
                     raise ValueError(f"minpoly for axis {j + 1} does not vanish at lambda")
                 if not _is_irreducible(p):
@@ -116,12 +114,6 @@ class SystemSpec:
         """H(p) in bits."""
         return float(-math.fsum(p * math.log2(p) for p in self.probs))
 
-    @property
-    def translation_diameter(self) -> int:
-        """Largest per-axis difference between translation entries."""
-        cols = list(zip(*self.translations))
-        return max(max(col) - min(col) for col in cols)
-
     def axis_difference_sets(self) -> tuple[tuple[int, ...], ...]:
         """Per-axis sets {a_i1,j - a_i2,j}; they always contain 0."""
         out = []
@@ -132,7 +124,7 @@ class SystemSpec:
 
 
 # ---------------------------------------------------------------------------
-# Level-n measures and convolution factors
+# Level-n measures
 # ---------------------------------------------------------------------------
 
 
@@ -174,22 +166,6 @@ def build_level_n(
     for mu in _level_measures(spec, n, budget, spec.probs):
         pass
     return mu
-
-
-def build_factor(
-    spec: SystemSpec,
-    a: int,
-    b: int,
-    budget: int = _DEFAULT_BUDGET,
-) -> DiscreteMeasure:
-    """Convolution factor over digit positions [a, b): S_{lambda^a} of level b-a.
-
-    Level-n measures factor as convolutions of these digit-range pieces.
-    """
-    if not (0 <= a < b):
-        raise ValueError("digit range must satisfy 0 <= a < b")
-    base = build_level_n(spec, b - a, budget)
-    return pushforward(base, ScaleBy(spec.lam ** float(a)))
 
 
 # ---------------------------------------------------------------------------
@@ -339,9 +315,6 @@ class NonSaturationProfile:
     chi: tuple[float, ...]
     rows: tuple[tuple[int, int, float], ...]  # (axis j 1-based, n, value)
     non_saturated: bool
-
-    def axis_rows(self, j: int) -> list[tuple[int, float]]:
-        return [(n, v) for jj, n, v in self.rows if jj == j]
 
 
 def non_saturation_profile(

@@ -161,6 +161,17 @@ class TestAlgebraicNumber:
         a = AlgebraicNumber(IntPolynomial((-1, 2)), Fraction(0), Fraction(1))
         assert a.to_float() == 0.5
 
+    @pytest.mark.parametrize(
+        "coeffs, want",
+        [((-1, 10**15), 1e-15), ((-3, 0, 10**24), 1.7320508075688772e-12)],
+        ids=["linear-1e-15", "quadratic-sqrt3e-12"],
+    )
+    def test_small_root_to_float_is_correctly_rounded(self, coeffs, want):
+        # a midpoint at absolute width 2^-60 gave 9.99634403031635e-16 and
+        # 1.7320507007811958e-12
+        a = AlgebraicNumber(IntPolynomial(coeffs), Fraction(0), Fraction(1))
+        assert a.to_float() == want
+
     def test_reducible_minpoly_rejected(self):
         with pytest.raises(ValueError, match="irreducible"):
             AlgebraicNumber(IntPolynomial((-1, 0, 1)), Fraction(0), Fraction(2))
@@ -256,6 +267,21 @@ class TestRealRoots:
                 assert lo < hi and hi - lo <= Fraction(2, 2**60), p
                 assert AlgebraicNumber.from_root_near(p, x).to_float() == x, (p, x)
                 assert minpoly == minpoly.primitive() and p(x) == pytest.approx(0.0, abs=1e-9)
+
+    def test_to_float_from_wide_intervals_matches_real_roots(self):
+        # each root alone in the widest interval between its minpoly's
+        # neighbouring roots, scaled down to 10^-15: to_float bisects it to
+        # the same correctly rounded float that _real_roots reports
+        for p in _sign_polys(30, seed=23):
+            for k in (0, 6, 15):
+                q = IntPolynomial(tuple(c * 10 ** (k * i) for i, c in enumerate(p.coeffs)))
+                roots = _real_roots(q)
+                for x, minpoly, lo, hi in roots:
+                    xs = [Fraction(r[0]) for r in roots if r[1] == minpoly]
+                    i = xs.index(Fraction(x))
+                    low = (xs[i - 1] + xs[i]) / 2 if i > 0 else lo - 1
+                    high = (xs[i] + xs[i + 1]) / 2 if i + 1 < len(xs) else hi + 1
+                    assert AlgebraicNumber(minpoly, low, high).to_float() == x, (q, x)
 
     def test_rational_root_is_widened_symmetrically(self):
         (x, minpoly, lo, hi), = _real_roots(IntPolynomial((-1, 3)))
@@ -650,7 +676,6 @@ class TestMinValuePolySearch:
         res = min_value_poly_search(0.7, 2, (-1, 0, 1))
         assert res.poly.coeffs == (1, -1)
         assert res.value == 0.30000000000000004
-        assert res.abs_value == res.value
 
     def test_golden_exact_zero(self):
         res = min_value_poly_search(GOLDEN, 3, (-2, 0, 2))

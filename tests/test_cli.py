@@ -621,6 +621,35 @@ class TestExitCodes:
         assert dispatch([*argv, "--strategy", strategy]) == 1
         assert "overflows" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, argv, message",
+        [
+            ("a", ["dim", "--n", "3"], "translation entries"),
+            ("a", ["separation", "--n", "3"], "translation entries"),
+            ("a", ["approx", "--n", "4"], "translation entries"),
+            ("minpolys", ["dim", "--n", "3"], "minpoly coefficients for axis 1"),
+            ("minpolys", ["overlap", "--n", "3"], "minpoly coefficients for axis 1"),
+            ("minpolys", ["rw-entropy", "--n", "3"], "minpoly coefficients for axis 1"),
+            (None, ["poly-search", "--xi", "0.5", "--n", "3", "--coeffs", f"0,{10**400}"],
+             "coefficient set entries"),
+        ],
+        ids=["a-dim", "a-separation", "a-approx", "minpoly-dim", "minpoly-overlap",
+             "minpoly-rw-entropy", "poly-search-coeffs"],
+    )
+    def test_integer_past_float64_is_exit_1(self, tmp_path, capsys, field, argv, message):
+        # 10^400 escaped dispatch as an OverflowError traceback
+        raw = json.loads(GOLDEN_SPEC.read_text())
+        if field == "a":
+            raw["maps"][1]["a"] = [10**400]
+        elif field == "minpolys":
+            raw["minpolys"] = [[-(10**400), 10**400, 10**400]]
+        if field is not None:
+            p = tmp_path / "big.json"
+            p.write_text(json.dumps(raw))
+            argv = [*argv, "--spec", str(p)]
+        assert dispatch(argv) == 1
+        assert capsys.readouterr().err == f"error: {message} must lie within the float64 range\n"
+
     def test_unknown_command(self, capsys):
         assert dispatch(["frobnicate"]) == 1
         capsys.readouterr()

@@ -1,4 +1,4 @@
-"""Discrete measures: canonical form, transforms, convolution, CSV round trip."""
+"""Discrete measures: canonical form, convolution, CSV round trip."""
 
 import math
 
@@ -7,18 +7,13 @@ import pytest
 
 from bconv.measures import (
     DiscreteMeasure,
-    ProjectTo,
-    ScaleBy,
-    TranslateBy,
     bernoulli_power,
     convolve,
     delta,
     from_atoms,
-    pushforward,
     read_atoms_csv,
     write_atoms_csv,
 )
-from bconv.scales import ScaleVector
 
 
 class TestCanonicalForm:
@@ -30,8 +25,8 @@ class TestCanonicalForm:
 
     def test_duplicates_merge_and_zeros_drop(self):
         mu = from_atoms([((1.0,), 0.25), ((1.0,), 0.25), ((2.0,), 0.0), ((0.0,), 0.5)])
-        assert mu.n_atoms == 2
-        assert dict(mu.atoms()) == {(0.0,): 0.5, (1.0,): 0.5}
+        np.testing.assert_array_equal(mu.points, [[0.0], [1.0]])
+        np.testing.assert_array_equal(mu.weights, [0.5, 0.5])
 
     def test_negative_zero_is_positive_zero(self):
         mu = from_atoms([((-0.0,), 0.5), ((0.0,), 0.5)])
@@ -74,66 +69,13 @@ class TestCanonicalForm:
         with pytest.raises(ValueError):
             DiscreteMeasure(np.zeros((2, 1)), np.zeros(3))
 
-    def test_add_and_scale_and_restrict(self):
-        a = from_atoms([((0.0,), 0.5)])
-        b = from_atoms([((1.0,), 0.5)])
-        s = a + b
-        assert s.n_atoms == 2 and s.mass == pytest.approx(1.0)
-        assert s.scaled(2.0).mass == pytest.approx(2.0)
-        with pytest.raises(ValueError):
-            s.scaled(-1.0)
-        r = s.restrict(np.array([True, False]))
-        assert r.n_atoms == 1 and r.mass == pytest.approx(0.5)
-
-
-class TestTransforms:
-    def test_scale_by(self):
-        mu = from_atoms([((1.0, 2.0), 1.0)])
-        out = pushforward(mu, ScaleBy(ScaleVector((0.5, 2.0))))
-        np.testing.assert_array_equal(out.points, [[0.5, 4.0]])
-
-    def test_translate_by(self):
-        mu = from_atoms([((1.0, 2.0), 1.0)])
-        out = pushforward(mu, TranslateBy((1.0, -2.0)))
-        np.testing.assert_array_equal(out.points, [[2.0, 0.0]])
-
-    def test_project_to(self):
-        mu = from_atoms([((1.0, 2.0, 3.0), 0.5), ((1.0, 5.0, 3.0), 0.5)])
-        out = pushforward(mu, ProjectTo((1, 3)))
-        # both atoms land on the same projected point and merge
-        assert out.n_atoms == 1
-        np.testing.assert_array_equal(out.points, [[1.0, 3.0]])
-
-    def test_empty_projection_collapses_mass(self):
-        mu = from_atoms([((1.0, 2.0), 0.3), ((4.0, 5.0), 0.7)])
-        out = pushforward(mu, ProjectTo(()))
-        assert out.dim == 0
-        assert out.n_atoms == 1
-        assert out.mass == pytest.approx(1.0)
-
-    def test_transform_validation(self):
-        with pytest.raises(ValueError, match="1-based"):
-            ProjectTo((0, 1))
-        with pytest.raises(ValueError, match="strictly increasing"):
-            ProjectTo((2, 1))
-        with pytest.raises(ValueError, match="strictly increasing"):
-            ProjectTo((1, 1))
-        mu = from_atoms([((1.0,), 1.0)])
-        with pytest.raises(ValueError, match="out of range"):
-            pushforward(mu, ProjectTo((2,)))
-        with pytest.raises(ValueError):
-            pushforward(mu, ScaleBy(ScaleVector((1.0, 2.0))))
-        with pytest.raises(ValueError):
-            pushforward(mu, TranslateBy((0.0, 0.0)))
-
 
 class TestConvolution:
     def test_delta_acts_as_translation(self):
         mu = from_atoms([((0.0,), 0.5), ((1.0,), 0.5)])
         out = convolve(mu, delta((2.5,)))
-        shifted = pushforward(mu, TranslateBy((2.5,)))
-        np.testing.assert_array_equal(out.points, shifted.points)
-        np.testing.assert_array_equal(out.weights, shifted.weights)
+        np.testing.assert_array_equal(out.points, mu.points + 2.5)
+        np.testing.assert_array_equal(out.weights, mu.weights)
 
     def test_commutative_in_canonical_form(self):
         rng = np.random.default_rng(3)
@@ -157,7 +99,8 @@ class TestConvolution:
 class TestBernoulliPower:
     def test_k1_is_the_pair(self):
         mu = bernoulli_power((0.0,), (1.0,), 1)
-        assert dict(mu.atoms()) == {(0.0,): 0.5, (1.0,): 0.5}
+        np.testing.assert_array_equal(mu.points, [[0.0], [1.0]])
+        np.testing.assert_array_equal(mu.weights, [0.5, 0.5])
 
     def test_binomial_weights(self):
         mu = bernoulli_power((0.0,), (1.0,), 4)

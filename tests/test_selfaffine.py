@@ -12,10 +12,8 @@ from bconv import selfaffine
 from bconv.entropy import saturation_defect
 from bconv.algebraic import _word_states, approximate_parameters, exact_overlap_depth
 from bconv.errors import BudgetExceededError
-from bconv.measures import convolve, DiscreteMeasure, from_atoms, pushforward, ScaleBy
-from bconv.scales import ScaleVector
+from bconv.measures import convolve, DiscreteMeasure, from_atoms
 from bconv.selfaffine import (
-    build_factor,
     build_level_n,
     dim_from_kappa,
     kappa_estimate,
@@ -46,7 +44,6 @@ class TestSystemSpec:
         assert s.n_maps == 2
         assert s.chi[0] == pytest.approx(-math.log2(GOLDEN))
         assert s.prob_entropy == pytest.approx(1.0)
-        assert s.translation_diameter == 2
         assert s.axis_difference_sets() == ((-2, 0, 2),)
 
     def test_minpoly_accepts_coefficient_tuples(self):
@@ -118,7 +115,6 @@ class TestSystemSpec:
     def test_d2_difference_sets(self):
         s = SystemSpec((0.8, 0.3), ((1, 0), (0, 2)), HALF)
         assert s.axis_difference_sets() == ((-1, 0, 1), (-2, 0, 2))
-        assert s.translation_diameter == 2
 
 
 class TestBuildLevelN:
@@ -192,30 +188,19 @@ class TestBuildLevelN:
         with pytest.raises(ValueError, match="nonnegative"):
             build_level_n(golden_spec(), -1)
 
-
-class TestBuildFactor:
     def test_factorization_into_digit_ranges(self):
-        # level-n measure = (digits [0,k)) * (digits [k,n)) as a convolution
+        # level-n measure = (digits [0,k)) * (digits [k,n)) as a convolution;
+        # digits [k,n) are the level-(n-k) measure scaled by lambda^k
         s = SystemSpec((0.8, 0.3), ((1, 0), (0, 1), (1, 1)), (0.5, 0.25, 0.25))
         n = 5
         whole = build_level_n(s, n)
         for k in (1, 2, 4):
-            split = convolve(build_factor(s, 0, k), build_factor(s, k, n))
+            tail = build_level_n(s, n - k)
+            tail = DiscreteMeasure(tail.points * s.lam.as_array() ** k, tail.weights)
+            split = convolve(build_level_n(s, k), tail)
             assert split.n_atoms == whole.n_atoms
             np.testing.assert_allclose(split.points, whole.points, atol=1e-12)
             np.testing.assert_allclose(split.weights, whole.weights, atol=1e-12)
-
-    def test_factor_is_scaled_level_measure(self):
-        s = golden_spec()
-        f = build_factor(s, 2, 5)
-        expect = pushforward(build_level_n(s, 3), ScaleBy(s.lam**2.0))
-        np.testing.assert_allclose(f.points, expect.points, atol=0)
-        np.testing.assert_allclose(f.weights, expect.weights, atol=0)
-
-    def test_range_validation(self):
-        for a, b in ((-1, 2), (2, 2), (3, 1)):
-            with pytest.raises(ValueError, match="0 <= a < b"):
-                build_factor(golden_spec(), a, b)
 
 
 class TestLyapunovDimension:
@@ -405,8 +390,8 @@ class TestNonSaturation:
         mu = from_atoms([((0.0, 0.0), 1.0)])
         prof = non_saturation_profile(mu, (0.8, 0.3), eps=0.01, m=2, n_range=[1, 2])
         assert len(prof.rows) == 4
-        assert [n for n, _ in prof.axis_rows(1)] == [1, 2]
-        assert [n for n, _ in prof.axis_rows(2)] == [1, 2]
+        assert [n for j, n, _ in prof.rows if j == 1] == [1, 2]
+        assert [n for j, n, _ in prof.rows if j == 2] == [1, 2]
 
     def test_rows_are_saturation_defects(self):
         spec = SystemSpec((0.6, 0.45), ((3, 0), (0, 5), (-2, 7)), (0.5, 0.3, 0.2))
