@@ -27,7 +27,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .entropy import _packed_code
-from .errors import BudgetExceededError, UncertifiedError
+from .errors import _DEFAULT_BUDGET, BudgetExceededError, UncertifiedError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .selfaffine import SystemSpec
@@ -52,7 +52,6 @@ _ROOT_AMBIGUITY_TOL = 1e-9
 _WEIERSTRASS_STEPS = 200
 _GRID_BITS_MAX = 1088  # about 320 decimal digits
 _BB_BLOCK = 1 << 12  # frontier nodes per block of the branch-and-bound walk
-_DEFAULT_BUDGET = 1 << 24  # rows, atoms or evaluations a call builds unless given a budget
 
 
 # ---------------------------------------------------------------------------
@@ -1343,7 +1342,7 @@ class AxisApproximation:
     status: str  # "ok" or "no-root"
     poly: IntPolynomial
     search_value: float
-    eta: AlgebraicNumber | None
+    minpoly: IntPolynomial | None  # the root's minimal polynomial when status is "ok"
     eta_float: float | None
     distance: float | None
 
@@ -1392,10 +1391,8 @@ def approximate_parameters(
                 chosen = (absval, poly, min(inside, key=lambda root: abs(root[0] - lj)))
                 break
         if chosen is not None:
-            absval, poly, (_, minpoly, lo, hi) = chosen
-            eta = AlgebraicNumber(minpoly, lo, hi)
-            ef = eta.to_float()
-            axes.append(AxisApproximation(j, "ok", poly, absval, eta, ef, abs(ef - lj)))
+            absval, poly, (ef, minpoly, _, _) = chosen
+            axes.append(AxisApproximation(j, "ok", poly, absval, minpoly, ef, abs(ef - lj)))
         elif fallback is not None:
             absval, poly, r = fallback
             axes.append(AxisApproximation(j, "no-root", poly, absval, None, r, abs(r - lj)))

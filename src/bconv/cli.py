@@ -481,7 +481,7 @@ def _cmd_approx(args) -> dict:
             ScaleVector(rep.eta),
             spec.translations,
             spec.probs,
-            tuple(a.eta.minpoly for a in rep.axes),
+            tuple(a.minpoly for a in rep.axes),
         )
         payload["rw_entropy_upper"] = sa.rw_entropy_upper(eta_spec, args.rw_n).value
         payload["rw_n"] = args.rw_n

@@ -27,6 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from . import entropy as ent
+from .errors import _DEFAULT_BUDGET, BudgetExceededError
 from .measures import DiscreteMeasure, bernoulli_power, convolve
 from .scales import ScaleVector, s_sequence, validate_contraction_vector
 
@@ -146,6 +147,7 @@ def _admissible_pairs(z, r_low, r_high):
     Stanat and Williams 1977) are the dense ranks of floor(z_j / side), side
     doubling from r_high while the packed code would reach 2^62; a pair is found
     from its one cell step lexicographically >= 0, later rows only in its own cell.
+    Refuses, before building them, more candidate pairs than the default budget.
     """
     n, d = z.shape
     side, radix = r_high / 2, [math.inf]
@@ -162,8 +164,11 @@ def _admissible_pairs(z, r_low, r_high):
     lo, hi = np.searchsorted(code, target - 1, "left"), np.searchsorted(code, target + 1, "right")
     lo[0] = np.arange(1, n + 1)
     count = (hi - lo).T.ravel()  # candidates: rows p against runs q, in code order
+    total = int(count.sum())
+    if total > _DEFAULT_BUDGET:
+        raise BudgetExceededError(f"the pair window has {total} candidate pairs, budget is {_DEFAULT_BUDGET}")
     p = np.repeat(np.arange(n), (hi - lo).sum(0))
-    q = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count - lo.T.ravel(), count)
+    q = np.arange(total) - np.repeat(np.cumsum(count) - count - lo.T.ravel(), count)
     with np.errstate(over="ignore"):  # an overflowing square exceeds any finite window
         near = sum((c[p] - c[q]) ** 2 for c in cols) <= (r_high * (1 + 1e-12)) ** 2
     a, b = order[p[near]], order[q[near]]
@@ -345,6 +350,9 @@ def entropy_increase_gap(
     lam = validate_contraction_vector(lam)
     if not t2 > t1:
         raise ValueError("need t2 > t1")
+    atoms = mu.n_atoms * nu.n_atoms
+    if atoms > _DEFAULT_BUDGET:
+        raise BudgetExceededError(f"mu * nu has {atoms} atoms before merging, budget is {_DEFAULT_BUDGET}")
     quad = quad or ent.QuadratureSpec()
     r_fine = lam ** float(t2)
     r_coarse = lam ** float(t1)

@@ -42,7 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BoundaryHazardWarning, BudgetExceededError, _warn_at_caller
+from .errors import _DEFAULT_BUDGET, BoundaryHazardWarning, BudgetExceededError, _warn_at_caller
 from .measures import DiscreteMeasure
 from .scales import ScaleVector, _as_scale, dyadic_levels
 
@@ -676,6 +676,10 @@ def _sobol_offsets(d: int, count: int, seed: int) -> np.ndarray:
         raise ValueError(f"QMC offsets are tabulated for dimension <= {_SOBOL_MAX_DIM}, not {d}")
     if count > 1 << _SOBOL_BITS:
         raise ValueError(f"QMC offsets are limited to 2^{_SOBOL_BITS} points")
+    if count * d > _DEFAULT_BUDGET:
+        raise BudgetExceededError(
+            f"{count} QMC offsets in dimension {d} need {count * d} coordinates, budget is {_DEFAULT_BUDGET}"
+        )
     if count & (count - 1):
         _warn_at_caller(
             f"{count} QMC offsets: the balance properties of Sobol' points "

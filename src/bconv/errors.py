@@ -1,7 +1,10 @@
-"""Shared error and warning types, and the one rule for where warnings point."""
+"""Shared error and warning types, the default budget, and the one rule for
+where warnings point."""
 
 import sys
 import warnings
+
+_DEFAULT_BUDGET = 1 << 24  # rows, atoms or evaluations a call builds unless given a budget
 
 
 class BudgetExceededError(RuntimeError):

@@ -20,6 +20,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .errors import _DEFAULT_BUDGET, BudgetExceededError
+
 __all__ = [
     "DiscreteMeasure",
     "from_atoms",
@@ -158,7 +160,8 @@ def bernoulli_power(x, y, k: int) -> DiscreteMeasure:
     pairwise convolution would square the intermediate atom counts and leak
     roundoff into the atom positions, so it is never used here.  Each weight
     is one int / int division, which Python rounds correctly, so it carries
-    only the final rounding error.
+    only the final rounding error.  Refuses, before allocating, more atoms
+    than the default budget.
     """
     if k < 1:
         raise ValueError("power k must be >= 1")
@@ -168,6 +171,8 @@ def bernoulli_power(x, y, k: int) -> DiscreteMeasure:
         raise ValueError("dimension mismatch")
     if np.array_equal(xp, yp):
         raise ValueError("the two endpoints must differ")
+    if k + 1 > _DEFAULT_BUDGET:
+        raise BudgetExceededError(f"power {k} has {k + 1} atoms, budget is {_DEFAULT_BUDGET}")
     i = np.arange(k + 1)
     pts = k * xp[None, :] + i[:, None] * (yp - xp)[None, :]
     denom = 1 << k

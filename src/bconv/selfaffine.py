@@ -23,9 +23,8 @@ from typing import Sequence
 import numpy as np
 
 from . import entropy as ent
-from .algebraic import _DEFAULT_BUDGET, IntPolynomial, _as_float, _as_int, _is_irreducible, _word_states
-from .decompose import _admissible_pairs
-from .errors import BudgetExceededError, _warn_at_caller
+from .algebraic import IntPolynomial, _as_float, _as_int, _is_irreducible, _word_states
+from .errors import _DEFAULT_BUDGET, BudgetExceededError, _warn_at_caller
 from .measures import DiscreteMeasure, convolve
 from .scales import ScaleVector, _as_scale, validate_contraction_vector
 
@@ -44,8 +43,6 @@ __all__ = [
     "SeparationProfile",
     "separation_profile",
 ]
-
-_DEFAULT_SEPARATION_BUDGET = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -178,10 +175,7 @@ class LyapunovReport:
     dim_lyapunov: float
     m: int
     gamma: float
-    chi: tuple[float, ...]
     prob_entropy: float
-    # Upper bounds j + (H(p) - chi_1 - ... - chi_j) / chi_{j+1} for j < d.
-    axis_bounds: tuple[float, ...]
 
 
 def lyapunov_dimension(spec: SystemSpec) -> LyapunovReport:
@@ -206,12 +200,7 @@ def lyapunov_dimension(spec: SystemSpec) -> LyapunovReport:
         dim = m + (h - acc) / chi[m]
     else:
         dim = d * h / acc
-    bounds = []
-    run = 0.0
-    for j in range(d - 1):
-        run += chi[j]
-        bounds.append(j + 1 + (h - run) / chi[j + 1])
-    return LyapunovReport(dim, m, min(float(d), dim), chi, h, tuple(bounds))
+    return LyapunovReport(dim, m, min(float(d), dim), h)
 
 
 # ---------------------------------------------------------------------------
@@ -356,19 +345,15 @@ class SeparationProfile:
 
     per_axis[n-1][j] is the smallest |difference| of axis-j values over the
     atoms of the merged level-n measure, and gap_rate is its n-th root.
-    joint[n-1] is the Euclidean analogue for d >= 2, None in dimension one.
     0.0 flags a bit-equal float collision, not an exact coincidence.
     """
 
     n_max: int
     per_axis: tuple[tuple[float, ...], ...]
     gap_rate: tuple[tuple[float, ...], ...]
-    joint: tuple[float | None, ...]
 
 
-def separation_profile(
-    spec: SystemSpec, n_max: int, budget: int = _DEFAULT_SEPARATION_BUDGET
-) -> SeparationProfile:
+def separation_profile(spec: SystemSpec, n_max: int, budget: int = _DEFAULT_BUDGET) -> SeparationProfile:
     """Scan minimal word-value gaps for n = 1..n_max.
 
     The levels are those of build_level_n folded with uniform digit weights
@@ -376,16 +361,13 @@ def separation_profile(
     cannot underflow to 0.0 and drop its atom, as p_min^n can.  A level
     with fewer atoms than its k^n words therefore had a bit-equal float
     collision and reports 0.0 everywhere; otherwise its atoms are the word
-    values, sorted per axis.  In d >= 2 the pairs (_admissible_pairs) within the
-    nearest lexicographic neighbours' distance hold the joint gap, read as the
-    root of summed squares: the reports' formula, not _row_norms' bits.
+    values, sorted per axis.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     d = spec.dim
     per_axis = []
     rates = []
-    joint = []
     levels = _level_measures(spec, n_max, budget, [1.0 / spec.n_maps] * spec.n_maps)
     next(levels)  # level 0
     for n, mu in enumerate(levels, start=1):
@@ -395,10 +377,4 @@ def separation_profile(
         )
         per_axis.append(gaps)
         rates.append(tuple(g ** (1.0 / n) if g > 0 else 0.0 for g in gaps))
-        if d >= 2 and not collided:
-            r = float(np.sqrt((np.diff(mu.points, axis=0) ** 2).sum(1)).min())
-            ei, ej, _ = _admissible_pairs(mu.points, 0.0, r * (1 + 1e-12))
-            joint.append(float(np.sqrt(((mu.points[ei] - mu.points[ej]) ** 2).sum(1)).min(initial=r)))
-        else:
-            joint.append(0.0 if d >= 2 else None)
-    return SeparationProfile(n_max, tuple(per_axis), tuple(rates), tuple(joint))
+    return SeparationProfile(n_max, tuple(per_axis), tuple(rates))

@@ -190,7 +190,7 @@ def test_c07_search_oracle_equivalence_and_recovery():
         rep = approximate_parameters((0.6180339887,), 3, ((-2, 0, 2),))
         ax = rep.axes[0]
         assert ax.status == "ok"
-        assert ax.eta is not None and ax.eta.minpoly.coeffs == (-1, 1, 1)
+        assert ax.minpoly.coeffs == (-1, 1, 1)
         assert abs(ax.eta_float - 0.6180339887) <= 1e-9
         assert time.perf_counter() - t0 < 30.0
 

@@ -947,7 +947,7 @@ class TestApproximateParameters:
         assert ax.status == "ok"
         assert ax.poly.coeffs == (2, -2, -2)
         assert ax.search_value == 0.0
-        assert ax.eta is not None and ax.eta.minpoly.coeffs == (-1, 1, 1)
+        assert ax.minpoly.coeffs == (-1, 1, 1)
         assert ax.eta_float == GOLDEN
         assert ax.distance == 0.0
         assert rep.eta == (GOLDEN,)
@@ -959,7 +959,7 @@ class TestApproximateParameters:
         rep = approximate_parameters((0.7,), 2, ((-1, 0, 1),))
         ax = rep.axes[0]
         assert ax.status == "no-root"
-        assert ax.eta is None
+        assert ax.minpoly is None
         assert ax.eta_float == 1.0  # nearest real root seen anywhere
         assert ax.distance == pytest.approx(0.3, abs=1e-12)
         assert rep.eta is None
@@ -970,7 +970,7 @@ class TestApproximateParameters:
         rep = approximate_parameters((GOLDEN,), 16, ((-2, 0, 2),))
         ax = rep.axes[0]
         assert ax.status == "ok"
-        assert ax.eta is not None and ax.eta.minpoly.coeffs == (-1, 1, 1)
+        assert ax.minpoly.coeffs == (-1, 1, 1)
 
     def test_eta_is_the_scanned_root(self):
         # the candidate -1 + x + x^4 - x^6 has a root at 0.856...; the chosen

@@ -650,6 +650,44 @@ class TestExitCodes:
         assert dispatch(argv) == 1
         assert capsys.readouterr().err == f"error: {message} must lie within the float64 range\n"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["decompose", "--measure", "{big}", "--lam", "0.5", "--n", "0", "--N", "3", "--eps", "0.05"],
+             "candidate pairs"),
+            (["increase", "--measure", "{big}", "--measure2", "{big}", "--lam", "0.5", "--t1", "1",
+              "--t2", "2", "--quad", "qmc", "--offsets", "2"], "atoms before merging"),
+            (["tube", "--lam", "0.5", "--x", "0", "--y", "1", "--k", "300000000", "--m", "1"], "atoms"),
+            (["avg-entropy", "--measure", str(PAIR_CSV), "--r", "0.1", "--quad", "qmc",
+              "--offsets", "1000000000"], "coordinates"),
+        ],
+        ids=["decompose", "increase", "tube", "avg-entropy-qmc"],
+    )
+    def test_refused_before_allocating(self, argv, message, tmp_path):
+        # the child caps its address space 256 MiB above its size after import,
+        # so a refusal that came after the allocation dies with a MemoryError
+        big = tmp_path / "uniform12k.csv"
+        x = np.random.default_rng(31).uniform(0.0, 1.0, 12_000)
+        big.write_text("x1,w\n" + "".join(f"{v!r},{1 / 12_000!r}\n" for v in x.tolist()))
+        code = (
+            "import os, resource, sys\n"
+            "from bconv.cli import dispatch\n"
+            "size = int(open('/proc/self/statm').read().split()[0]) * os.sysconf('SC_PAGE_SIZE')\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (size + (256 << 20), resource.RLIM_INFINITY))\n"
+            "sys.exit(dispatch(sys.argv[1:]))\n"
+        )
+        path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+        res = subprocess.run(
+            [sys.executable, "-c", code, *(a.replace("{big}", str(big)) for a in argv)],
+            env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert (res.returncode, res.stdout) == (2, ""), res.stderr
+        assert res.stderr.startswith("budget refused: ") and message in res.stderr
+        assert "16777216" in res.stderr
+
     def test_unknown_command(self, capsys):
         assert dispatch(["frobnicate"]) == 1
         capsys.readouterr()
@@ -842,6 +880,13 @@ def words_ops(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def search_ops(tmp_path_factory):
+    """The benchmark's search ops at seed 300 by id, with their spec files."""
+    ops, _, _ = _perfbench_inputs().build("search", 300, tmp_path_factory.mktemp("search"))
+    return {op["id"]: op["argv"] for op in ops}
+
+
+@pytest.fixture(scope="module")
 def pairing_ops(tmp_path_factory):
     """The benchmark's pairing command lines at seed 300 by id, without --out."""
     ops, _, _ = _perfbench_inputs().build("pairing", 300, tmp_path_factory.mktemp("pairing"))
@@ -866,10 +911,22 @@ class TestPinnedReports:
         pinned = json.loads((PERFBENCH / "pinned.json").read_text())
         assert got == pinned["separation-tri2d"]
 
-    @pytest.mark.parametrize("op_id", ["nonsat-tri2d", "tube", "dim-third"])
+    # with separation-tri2d above, these are all ten reports in pinned.json
+    @pytest.mark.parametrize(
+        "op_id",
+        ["rw-golden", "rw-tri2d", "overlap-golden", "overlap-tri2d", "nonsat-tri2d", "tube", "dim-third"],
+    )
     def test_words_op_matches_pinned_report(self, op_id, words_ops, tmp_path):
+        self._check_pinned(op_id, words_ops[op_id], tmp_path)
+
+    @pytest.mark.parametrize("op_id", ["approx-golden", "approx-tri2d"])
+    def test_search_op_matches_pinned_report(self, op_id, search_ops, tmp_path):
+        self._check_pinned(op_id, search_ops[op_id], tmp_path)
+
+    @staticmethod
+    def _check_pinned(op_id, argv, tmp_path):
         out = tmp_path / "out.json"
-        assert dispatch([str(out) if a == "{out}" else a for a in words_ops[op_id]]) == 0
+        assert dispatch([str(out) if a == "{out}" else a for a in argv]) == 0
         pinned = json.loads((PERFBENCH / "pinned.json").read_text())
         assert json.loads(out.read_bytes()) == pinned[op_id]
 

@@ -591,7 +591,7 @@ class TestSobolOffsets:
         assert res.stdout.strip().splitlines()[-1] == "False"
 
     def test_separation_and_decompose_never_import_scipy_spatial(self, tmp_path):
-        # one grid neighbour search serves the joint gap and the pair window
+        # the pair window is a numpy grid neighbour search
         spec = tmp_path / "three-maps-2d.json"
         maps = [{"a": [0, 0], "p": 0.2}, {"a": [1, 0], "p": 0.3}, {"a": [0, 1], "p": 0.5}]
         spec.write_text(json.dumps({"lambda": [0.61, 0.37], "maps": maps}))

@@ -210,8 +210,6 @@ class TestLyapunovDimension:
         assert rep.m == 1
         assert rep.dim_lyapunov == pytest.approx(1.3903772805805816, abs=1e-12)
         assert rep.gamma == pytest.approx(rep.dim_lyapunov)
-        # single interior bound coincides with the dimension here
-        assert rep.axis_bounds[0] == pytest.approx(rep.dim_lyapunov)
 
     def test_saturated_case_rescales(self):
         s = SystemSpec((0.9, 0.8), ((1, 0), (0, 1)), HALF)
@@ -228,7 +226,6 @@ class TestLyapunovDimension:
         assert rep.dim_lyapunov == 1.0
         assert rep.m == 1
         assert rep.gamma == 1.0
-        assert rep.axis_bounds == ()
 
     def test_d1_third(self):
         rep = lyapunov_dimension(third_spec())
@@ -239,7 +236,6 @@ class TestLyapunovDimension:
     def test_entropy_and_chi_recorded(self):
         rep = lyapunov_dimension(golden_spec())
         assert rep.prob_entropy == pytest.approx(1.0)
-        assert rep.chi == golden_spec().chi
 
 
 class TestKappa:
@@ -419,7 +415,7 @@ def _unmerged_separation(spec, n_max):
     d = spec.dim
     lam = spec.lam.as_array()
     a = np.asarray(spec.translations, dtype=np.float64)
-    per_axis, rates, joint = [], [], []
+    per_axis, rates = [], []
     pts = np.zeros((1, d))
     lam_pow = np.ones(d)
     for n in range(1, n_max + 1):
@@ -428,14 +424,7 @@ def _unmerged_separation(spec, n_max):
         gaps = tuple(float(np.diff(np.sort(pts[:, j])).min()) for j in range(d))
         per_axis.append(gaps)
         rates.append(tuple(g ** (1.0 / n) if g > 0 else 0.0 for g in gaps))
-        if d >= 2:
-            from scipy.spatial import cKDTree
-
-            dist, _ = cKDTree(pts).query(pts, k=2)
-            joint.append(float(dist[:, 1].min()))
-        else:
-            joint.append(None)
-    return selfaffine.SeparationProfile(n_max, tuple(per_axis), tuple(rates), tuple(joint))
+    return selfaffine.SeparationProfile(n_max, tuple(per_axis), tuple(rates))
 
 
 class TestSeparation:
@@ -472,9 +461,6 @@ class TestSeparation:
     def test_matches_unmerged_scan_bitwise(self, spec, n_max):
         # golden and tri2d have bit-equal float collisions, the others none;
         # p_min^2 = 1e-400 underflows, but gaps never read the weights.
-        # far-neighbour-2d's nearest pair is never lexicographically adjacent
-        # (at n = 1, (0, 0) is nearest to (2, -1), not to (1, 3)); at n = 7
-        # near-tie-2d's is 1e-16 nearer than the nearest adjacent pair.
         assert separation_profile(spec, n_max) == _unmerged_separation(spec, n_max)
 
     def test_third_gaps_exact(self):
@@ -483,7 +469,6 @@ class TestSeparation:
         expect = [2.0 * 3.0 ** -(n - 1) for n in (1, 2, 3, 4)]
         got = [prof.per_axis[i][0] for i in range(4)]
         np.testing.assert_allclose(got, expect, rtol=1e-12)
-        assert prof.joint == (None, None, None, None)
 
     def test_gap_rate_converges_to_lambda_times_something(self):
         prof = separation_profile(third_spec(), 10)
@@ -493,14 +478,6 @@ class TestSeparation:
     def test_golden_collision_shows_as_zero_scale_gap(self):
         prof = separation_profile(golden_spec(), 3)
         assert prof.per_axis[2][0] < 1e-15  # exact coincidence, float roundoff
-
-    def test_d2_joint_gap(self):
-        s = SystemSpec((0.8, 0.3), ((1, 0), (0, 1)), HALF)
-        prof = separation_profile(s, 5)
-        assert prof.joint[4] is not None and prof.joint[4] > 0.0
-        # joint Euclidean gap is at least each per-axis gap... false in
-        # general, but it does dominate the smaller of the two axis minima
-        assert prof.joint[4] >= min(prof.per_axis[4]) - 1e-15
 
     def test_budget_and_validation(self):
         with pytest.raises(BudgetExceededError):
